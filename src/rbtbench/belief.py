@@ -20,7 +20,7 @@ stays exact: the true board always keeps positive mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import fsum
 
 from .game import Action, BoardState, CellMark, GameStatus, POW3, cell_mark, index_status
@@ -60,11 +60,20 @@ class WindowShape:
 
     def placements(self) -> tuple["WindowPlacement", ...]:
         """All (4-h)*(4-w) positions where the window fits, row-major."""
+        return self._placements
+
+    @cached_property
+    def _placements(self) -> tuple["WindowPlacement", ...]:
+        # Built on first use, once per shape, with each placement's read cache;
+        # not a dataclass field, so equality and hashing ignore it.
         return tuple(
             WindowPlacement(top=t, left=l, shape=self)
             for t in range(4 - self.height)
             for l in range(4 - self.width)
         )
+
+
+_MARKS = (CellMark.EMPTY, CellMark.X, CellMark.O)
 
 
 @dataclass(frozen=True)
@@ -76,19 +85,38 @@ class WindowPlacement:
     def __post_init__(self):
         if not (0 <= self.top <= 3 - self.shape.height and 0 <= self.left <= 3 - self.shape.width):
             raise ValueError(f"window {self.shape.label} does not fit at ({self.top}, {self.left})")
+        cells = tuple(
+            (self.top + r) * 3 + (self.left + c)
+            for r in range(self.shape.height)
+            for c in range(self.shape.width)
+        )
+        # Derived once; not dataclass fields, so equality and hashing ignore them.
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_divisors", tuple(POW3[c] for c in cells))
+        object.__setattr__(self, "_reads", {})  # board index -> Observation
+        object.__setattr__(self, "_observations", {})  # window contents -> Observation
 
     def cells(self) -> tuple[int, ...]:
-        return window_cells(self)
+        return self._cells
+
+    def observe(self, index: int) -> "Observation":
+        """The observation of board `index` through this window.
+
+        Cached per board, and one shared object per distinct window contents.
+        """
+        obs = self._reads.get(index)
+        if obs is None:
+            contents = tuple(_MARKS[index // d % 3] for d in self._divisors)
+            obs = self._observations.get(contents)
+            if obs is None:
+                obs = self._observations[contents] = Observation(placement=self, contents=contents)
+            self._reads[index] = obs
+        return obs
 
 
-@lru_cache(maxsize=None)
 def window_cells(placement: WindowPlacement) -> tuple[int, ...]:
     """Board cells covered by a placed window, in row-major window order."""
-    return tuple(
-        (placement.top + r) * 3 + (placement.left + c)
-        for r in range(placement.shape.height)
-        for c in range(placement.shape.width)
-    )
+    return placement.cells()
 
 
 @dataclass(frozen=True)
@@ -114,10 +142,7 @@ def observation_likelihood(obs: Observation, state: BoardState) -> int:
 
 
 def _matches(obs: Observation, index: int) -> bool:
-    return all(
-        index // POW3[cell] % 3 == mark
-        for cell, mark in zip(window_cells(obs.placement), obs.contents)
-    )
+    return obs.placement.observe(index).contents == obs.contents
 
 
 def _normalized(mass: dict[int, float]) -> Belief:
@@ -147,7 +172,12 @@ def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Be
 
 def update(belief: Belief, obs: Observation) -> Belief:
     """Condition a belief on a window observation (0/1 likelihood, renormalized)."""
-    mass = {index: p for index, p in belief.items() if _matches(obs, index)}
+    placement, contents = obs.placement, obs.contents
+    reads, observe = placement._reads, placement.observe
+    mass = {}
+    for index, p in belief.items():
+        if (reads.get(index) or observe(index)).contents == contents:
+            mass[index] = p
     if not mass:
         raise ZeroEvidenceError(f"observation {obs} matches no state in the support")
     return _normalized(mass)
@@ -169,9 +199,7 @@ def observation_distribution(
     weight = 1.0 / len(placements)
     dist: dict[Observation, float] = {}
     for placement in placements:
-        covered = window_cells(placement)
         for index, p in predicted.items():
-            contents = tuple(CellMark(index // POW3[c] % 3) for c in covered)
-            obs = Observation(placement=placement, contents=contents)
+            obs = placement.observe(index)
             dist[obs] = dist.get(obs, 0.0) + weight * p
     return dist

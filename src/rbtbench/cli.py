@@ -326,6 +326,21 @@ def _load_q(args: argparse.Namespace) -> tuple[QTable, str]:
     return load_qtable(path), path
 
 
+def _check_episodes(episodes: int) -> None:
+    if episodes < 2:
+        raise ValueError(f"--episodes must be at least 2 (the 95% CI needs two returns), got {episodes}")
+
+
+def _window_label(flag: str, text: str) -> str:
+    """Normalized HxW label; a bad one fails before any episode runs."""
+    label = text.strip().lower()
+    try:
+        WindowShape.from_label(label)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    return label
+
+
 def _run_cell(
     q: QTable, window: str, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
@@ -341,8 +356,10 @@ def _run_cell(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    window = _window_label("--window", args.window)
+    _check_episodes(args.episodes)
     q, _ = _load_q(args)
-    row, results = _run_cell(q, args.window.lower(), args.policy, args.episodes, args.seed)
+    row, results = _run_cell(q, window, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
     if args.out:
@@ -354,8 +371,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    windows = [_window_label("--windows", w) for w in args.windows.split(",") if w.strip()]
+    if not windows:
+        raise ValueError(f"--windows must list at least one HxW window, got {args.windows!r}")
+    _check_episodes(args.episodes)
     q, q_path = _load_q(args)
-    windows = [w.strip().lower() for w in args.windows.split(",") if w.strip()]
     os.makedirs(args.out_dir, exist_ok=True)
     rows: list[SweepRow] = []
     timestep_rows: list[tuple] = []

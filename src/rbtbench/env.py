@@ -9,14 +9,20 @@ opponent sees the full board and never plays an invalid move.
 
 All randomness in an episode comes from one generator seeded by the config, so
 identical configs replay bit-identically.
+
+A step is a pure function of (belief, observation, Q-table), and beliefs
+repeat across episodes, so the Q-table memoizes the decision at each belief
+and the beliefs predicted from it (``Decision``).  The cache changes no
+result: a cold and a warm table give equal episodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .belief import (
     Belief,
@@ -26,9 +32,8 @@ from .belief import (
     initial_belief,
     predict,
     update,
-    window_cells,
 )
-from .game import Action, BoardState, CellMark, GameStatus, POW3, cell_mark, index_status, place_mark
+from .game import Action, BoardState, GameStatus, cell_mark, encode_state, index_status, place_mark
 from .metrics import iou
 from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -61,7 +66,7 @@ class EpisodeConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Everything observed and decided at one agent decision point."""
 
@@ -77,7 +82,7 @@ class StepRecord:
     reward: float
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeResult:
     steps: list[StepRecord]
     total_return: float
@@ -94,12 +99,7 @@ def sample_window(shape: WindowShape, rng: Random) -> WindowPlacement:
 
 def make_observation(state: BoardState, placement: WindowPlacement) -> Observation:
     """Read the true board through a placed window."""
-    return Observation(placement=placement, contents=tuple(state.cells[c] for c in placement.cells()))
-
-
-def _observe(index: int, placement: WindowPlacement) -> Observation:
-    contents = tuple(CellMark(index // POW3[c] % 3) for c in window_cells(placement))
-    return Observation(placement=placement, contents=contents)
+    return placement.observe(encode_state(state))
 
 
 def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
@@ -113,33 +113,70 @@ def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
     return pairs[-1][0]
 
 
+class Decision(NamedTuple):
+    """What both policies make of one posterior belief, and what follows from it.
+
+    A decision is a pure function of the belief and the Q-table, so the table
+    keeps one per belief (``QTable._decisions``).  ``predictions`` holds the
+    beliefs predicted from this one, keyed by (action, opponent model); they
+    are never handed out, only fed to ``update``.
+    """
+
+    a_mix: ActionSet
+    a_max: ActionSet
+    iou: float
+    margin: float
+    mix_choices: tuple[Action, ...]  # sorted(a_mix), the tie-break draws from it
+    max_choices: tuple[Action, ...]  # sorted(a_max)
+    predictions: dict
+
+
+@lru_cache(maxsize=None)
+def _shared(actions: ActionSet) -> tuple[ActionSet, tuple[Action, ...]]:
+    """One argmax set and its sorted members, shared by every decision that has it (at most 511)."""
+    return actions, tuple(sorted(actions))
+
+
+def _decide(belief: Belief, q: QTable) -> Decision:
+    mix_vals = mixture_values(belief, q)
+    a_mix, mix_choices = _shared(argmax_set(mix_vals))
+    a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
+    margin = max(mix_vals) - mean_value(mix_vals, a_max)
+    return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices, {})
+
+
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     belief_opponent = config.belief_opponent or config.opponent
+    decisions = q._decisions
     board = 0
     belief = initial_belief()
+    decision: Optional[Decision] = None
     last_action: Optional[Action] = None
     steps: list[StepRecord] = []
     true_states: list[int] = []
 
     for t in range(5):  # X can place at most five marks
         placement = sample_window(config.shape, rng)
-        obs = _observe(board, placement)
+        obs = placement.observe(board)
         if last_action is not None:
-            belief = predict(belief, last_action, belief_opponent)
+            key = (last_action, belief_opponent)
+            predicted = decision.predictions.get(key)
+            if predicted is None:
+                predicted = decision.predictions[key] = predict(belief, last_action, belief_opponent)
+            belief = predicted
         belief = update(belief, obs)
         true_states.append(board)
 
-        mix_vals = mixture_values(belief, q)
-        a_mix = argmax_set(mix_vals)
-        a_max = argmax_set(alt_values(belief, q))
-        step_iou = iou(a_mix, a_max)
-        step_margin = max(mix_vals) - mean_value(mix_vals, a_max)
+        key = (*belief, *belief.values())  # the items, flattened: n keys, then n values
+        decision = decisions.get(key)
+        if decision is None:
+            decision = decisions[key] = _decide(belief, q)
 
         if config.policy == MIXTURE:
-            action = rng.choice(sorted(a_mix))
+            action = rng.choice(decision.mix_choices)
         elif config.policy == MAXBELIEF:
-            action = rng.choice(sorted(a_max))
+            action = rng.choice(decision.max_choices)
         else:
             action = rng.randrange(9)
 
@@ -168,10 +205,10 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
                 observation=obs,
                 belief=belief,
                 belief_support_size=len(belief),
-                a_mix=a_mix,
-                a_max=a_max,
-                iou=step_iou,
-                margin=step_margin,
+                a_mix=decision.a_mix,
+                a_max=decision.a_max,
+                iou=decision.iou,
+                margin=decision.margin,
                 chosen_action=action,
                 reward=reward,
             )

@@ -38,8 +38,7 @@ def mixture_values(belief: Belief, q: QTable) -> ActionValues:
         row = entries.get(state)
         if row is None:
             raise MissingQEntryError(state)
-        for a in range(9):
-            values[a] += p * row[a]
+        values = [v + p * r for v, r in zip(values, row)]
     return values
 
 
@@ -69,8 +68,7 @@ def alt_values(belief: Belief, q: QTable) -> ActionValues:
         row = entries.get(state)
         if row is None:
             raise MissingQEntryError(state)
-        for a in range(9):
-            values[a] += weight * row[a]
+        values = [v + weight * r for v, r in zip(values, row)]
     return values
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .game import (
     GameStatus,
@@ -41,11 +42,19 @@ class CorruptEntryError(ValueError):
 
 @dataclass
 class QTable:
-    """Finite map state-index -> nine action values, plus provenance header."""
+    """Finite map state-index -> nine action values, plus provenance header.
+
+    Entries are read-only once episodes run on the table: ``run_episode``
+    memoizes one decision per belief, and the beliefs predicted from it, in
+    the table's private cache, and those results are computed from the
+    entries.  To change values, build a new ``QTable``.
+    """
 
     opponent: object  # descriptor: "uniform" | "minimax" | {"eps_minimax": p}
     entries: dict[int, list[float]] = field(default_factory=dict)
     gamma: float = 1.0
+    # belief key -> cached decision, filled by env.run_episode
+    _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def values(self, state_index: int) -> list[float]:
         return self.entries[state_index]
@@ -55,6 +64,16 @@ class QTable:
 
     def opponent_model(self) -> OpponentModel:
         return from_descriptor(self.opponent)
+
+
+@lru_cache(maxsize=None)
+def decision_states() -> frozenset[int]:
+    """Reachable, in-progress boards with X to move: exactly the keys of a Q-table."""
+    return frozenset(
+        index
+        for index in enumerate_reachable_states()
+        if index_status(index) is GameStatus.IN_PROGRESS and index_to_move(index) == 1
+    )
 
 
 def solve_q(opponent: OpponentModel) -> QTable:
@@ -93,13 +112,17 @@ def solve_q(opponent: OpponentModel) -> QTable:
                         total -= p
                     elif st2 is not GameStatus.DRAW:
                         total += p * state_value(after_o)
+                if not -1.0 <= total <= 1.0:
+                    # Reply probabilities can sum to 1 + ulp in floating point
+                    # (eps-minimax adds two shares per cell); an expectation
+                    # of values in [-1, 1] must not leave that range.
+                    total = 1.0 if total > 0.0 else -1.0
                 row.append(total)
         entries[index] = row
         return row
 
-    for index in sorted(enumerate_reachable_states()):
-        if index_status(index) is GameStatus.IN_PROGRESS and index_to_move(index) == 1:
-            q_row(index)
+    for index in sorted(decision_states()):
+        q_row(index)
     return QTable(opponent=descriptor(opponent), entries=entries)
 
 
@@ -133,7 +156,22 @@ def load_qtable(path) -> QTable:
         if any(not -1.0 <= v <= 1.0 for v in row):
             raise CorruptEntryError(f"state {key}: value outside [-1, 1]")
         entries[int(key)] = row
+    expected = decision_states()
+    if entries.keys() != expected:
+        missing = sorted(expected - entries.keys())
+        extra = sorted(entries.keys() - expected)
+        raise CorruptEntryError(
+            f"Q-table entries must cover exactly the {len(expected)} reachable X-to-move states: "
+            f"missing {_listed(missing)}, extra {_listed(extra)}"
+        )
     return QTable(opponent=payload["opponent"], entries=entries, gamma=float(payload["gamma"]))
+
+
+def _listed(states: list[int], shown: int = 5) -> str:
+    if not states:
+        return "none"
+    more = ", ..." if len(states) > shown else ""
+    return f"{len(states)} ({', '.join(map(str, states[:shown]))}{more})"
 
 
 def qtable_digest(path) -> str:

@@ -16,7 +16,7 @@ from rbtbench.belief import (
     update,
     window_cells,
 )
-from rbtbench.env import EpisodeConfig, run_episodes, _observe
+from rbtbench.env import EpisodeConfig, run_episodes
 from rbtbench.game import BoardState, CellMark, GameStatus, decode_state, empty_cells, index_status, place_mark
 from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
 
@@ -161,7 +161,7 @@ def test_update_collapses_to_the_matching_state():
 def test_full_window_collapses_any_belief():
     belief = predict(initial_belief(), 4, UNIFORM)
     target = next(iter(sorted(belief)))
-    obs = _observe(target, WindowPlacement(top=0, left=0, shape=WindowShape(3, 3)))
+    obs = WindowPlacement(top=0, left=0, shape=WindowShape(3, 3)).observe(target)
     assert update(belief, obs) == {target: 1.0}
 
 
@@ -245,7 +245,7 @@ def test_two_by_two_reaches_the_five_state_profile():
         for r0 in empty_cells(b0):
             b1 = place_mark(b0, r0, 2)
             for pl1 in shape.placements():
-                bel1 = update(predict(initial_belief(), a0, UNIFORM), _observe(b1, pl1))
+                bel1 = update(predict(initial_belief(), a0, UNIFORM), pl1.observe(b1))
                 for a1 in (a for a in empty_cells(b1)):
                     b2 = place_mark(b1, a1, 1)
                     if index_status(b2) is not GameStatus.IN_PROGRESS:
@@ -255,7 +255,7 @@ def test_two_by_two_reaches_the_five_state_profile():
                         if index_status(b3) is not GameStatus.IN_PROGRESS:
                             continue
                         for pl2 in shape.placements():
-                            bel2 = update(predict(bel1, a1, UNIFORM), _observe(b3, pl2))
+                            bel2 = update(predict(bel1, a1, UNIFORM), pl2.observe(b3))
                             if sorted(round(p, 9) for p in bel2.values()) == target:
                                 return
     pytest.fail("no 2-decision history reaches the five-state profile")

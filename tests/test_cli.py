@@ -176,3 +176,58 @@ def test_bad_inputs_exit_nonzero(tmp_path, q_uniform_path, capsys):
     bad.write_text(json.dumps({"version": 999, "opponent": "uniform", "gamma": 1.0, "entries": {}}))
     assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
     capsys.readouterr()
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_sweep_rejects_an_empty_window_list(q_uniform_path, tmp_path, capsys):
+    for value in ("", ",", " , "):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--q", q_uniform_path, "--windows", value, "--episodes", "5",
+                       "--out-dir", str(out)) == 1
+        err = one_line_error(capsys)
+        assert "--windows" in err and repr(value) in err
+        assert not out.exists()  # nothing written before the check
+
+
+def test_sweep_rejects_a_bad_window_before_running_any_cell(q_uniform_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1,4x1", "--episodes", "5",
+                   "--out-dir", str(out)) == 1
+    err = one_line_error(capsys)
+    assert "--windows" in err and "'4x1'" in err
+    assert capsys.readouterr().out == ""  # the valid 1x1 cell did not run
+    assert not out.exists()
+
+
+def test_episodes_below_two_is_an_error(q_uniform_path, tmp_path, capsys):
+    for episodes in ("1", "0", "-3"):
+        commands = (
+            ("run", "--q", q_uniform_path, "--window", "2x2", "--episodes", episodes),
+            ("sweep", "--q", q_uniform_path, "--windows", "2x2", "--episodes", episodes,
+             "--out-dir", str(tmp_path / "out")),
+        )
+        for argv in commands:
+            assert run_cli(*argv) == 1
+            err = one_line_error(capsys)
+            assert "--episodes" in err and err.rstrip().endswith(f"got {episodes}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_qtable_with_missing_and_extra_states_fails_before_any_episode(q_uniform_path, tmp_path, capsys):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    del payload["entries"]["45"]
+    payload["entries"]["99999"] = [0.0] * 9
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    trace = tmp_path / "steps.jsonl"
+    assert run_cli("run", "--q", str(bad), "--window", "1x1", "--episodes", "5",
+                   "--trace", str(trace)) == 1
+    err = one_line_error(capsys)
+    assert "missing 1 (45)" in err and "extra 1 (99999)" in err
+    assert not trace.exists()

@@ -17,8 +17,10 @@ from rbtbench.env import (
     sample_window,
 )
 from rbtbench.game import BoardState, CellMark, cell_mark, decode_state
+from rbtbench.metrics import iou, value_margin
 from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
-from rbtbench.policy import mixture_values
+from rbtbench.policy import act_alt, act_mixture, mixture_values
+from rbtbench.solver import QTable
 
 UNIFORM = UniformRandomOpponent()
 
@@ -191,3 +193,64 @@ def test_mismatched_belief_model_still_tracks_the_truth(q_uniform):
         for step, true_state in zip(result.steps, result.true_states):
             assert step.belief.get(true_state, 0.0) > 0.0
             assert math.isclose(sum(step.belief.values()), 1.0, abs_tol=1e-9)
+
+
+# --- the per-belief decision cache ---------------------------------------------
+
+def fresh_copy(q):
+    """Same entries, empty decision cache."""
+    return QTable(opponent=q.opponent, entries=q.entries, gamma=q.gamma)
+
+
+def cache_configs():
+    for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(2, 2)):
+        for policy in (MIXTURE, MAXBELIEF, RANDOM):
+            yield EpisodeConfig(shape=shape, opponent=UNIFORM, policy=policy, seed=300)
+    yield EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=300,
+                        belief_opponent=EpsilonMinimaxOpponent(0.3))
+
+
+def test_cold_and_warm_cache_give_equal_results(q_uniform):
+    q = fresh_copy(q_uniform)
+    for config in cache_configs():
+        cold = run_episodes(config, fresh_copy(q_uniform), 150)
+        first = run_episodes(config, q, 150)
+        cached = len(q._decisions)
+        warm = run_episodes(config, q, 150)
+        assert cached > 0 and len(q._decisions) == cached  # the second run only hit the cache
+        assert cold == first == warm
+
+
+def test_tables_never_share_cached_decisions(q_uniform, q_minimax):
+    config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=800)
+    by_uniform = run_episodes(config, q_uniform, 200)
+    by_minimax = run_episodes(config, q_minimax, 200)
+    assert by_uniform == run_episodes(config, fresh_copy(q_uniform), 200)
+    assert by_minimax == run_episodes(config, fresh_copy(q_minimax), 200)
+    # the check has teeth: the two tables decide differently on these beliefs
+    assert [s.a_mix for r in by_uniform for s in r.steps] != [s.a_mix for r in by_minimax for s in r.steps]
+
+
+def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
+    q = fresh_copy(q_uniform)
+    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=60)
+    want = run_episodes(config, fresh_copy(q_uniform), 100)
+    first = run_episodes(config, q, 100)
+    beliefs = [s.belief for r in first for s in r.steps]
+    assert len({id(b) for b in beliefs}) == len(beliefs)  # a fresh dict per step
+    for belief in beliefs:
+        belief.clear()
+        belief[0] = 0.5
+    assert run_episodes(config, q, 100) == want
+
+
+def test_step_decisions_match_the_policy_functions(q_uniform):
+    rng = random.Random(0)
+    for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(3, 1)):
+        config = EpisodeConfig(shape=shape, opponent=UNIFORM, seed=410)
+        for result in run_episodes(config, q_uniform, 150):
+            for step in result.steps:
+                assert step.a_mix == act_mixture(step.belief, q_uniform, rng)[1]
+                assert step.a_max == act_alt(step.belief, q_uniform, rng)[1]
+                assert step.margin == value_margin(step.belief, q_uniform)  # exact, not close
+                assert step.iou == iou(step.a_mix, step.a_max)

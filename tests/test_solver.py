@@ -13,10 +13,12 @@ from rbtbench.game import (
     index_to_move,
     place_mark,
 )
+from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.solver import (
     CorruptEntryError,
     FormatVersionMismatchError,
+    decision_states,
     load_qtable,
     save_qtable,
     solve_q,
@@ -140,4 +142,56 @@ def test_load_validates_opponent_tag(tmp_path):
     payload = {"version": 1, "opponent": "alphabeta", "gamma": 1.0, "entries": {}}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        load_qtable(path)
+
+
+# uniform, minimax and eps:0.05 ... eps:0.95, the benchmark's solve-grid set
+SOLVE_GRID = ("uniform", "minimax") + tuple(f"eps:0.{k:02d}" for k in range(5, 100, 5))
+
+
+def test_every_solve_grid_table_saves_reloads_and_compares_equal(tmp_path):
+    for spec in SOLVE_GRID:
+        q = solve_q(parse_opponent(spec))
+        assert all(-1.0 <= v <= 1.0 for row in q.entries.values() for v in row), spec
+        path = tmp_path / f"q_{spec.replace(':', '_')}.json"
+        save_qtable(q, path)
+        loaded = load_qtable(path)
+        assert loaded == q, spec  # opponent, gamma and every float
+
+
+def test_eps_045_expectations_stay_within_the_unit_interval():
+    # its reply probabilities sum to 1 + ulp on 340 O-to-move boards
+    q = solve_q(EpsilonMinimaxOpponent(0.45))
+    assert q.entries[7][3] == q.entries[7][4] == q.entries[7][6] == 1.0
+
+
+def test_decision_states_are_the_2423_x_to_move_boards():
+    assert sorted(decision_states()) == x_to_move_states()
+    assert len(decision_states()) == 2423
+
+
+def write_entries(path, q, drop=(), add=()):
+    entries = {str(i): row for i, row in q.entries.items() if i not in drop}
+    entries.update({str(i): [0.0] * 9 for i in add})
+    path.write_text(json.dumps({"version": 1, "opponent": q.opponent, "gamma": 1.0, "entries": entries}))
+
+
+def test_load_rejects_a_table_missing_states(q_uniform, tmp_path):
+    path = tmp_path / "q.json"
+    write_entries(path, q_uniform, drop=(0, 45))
+    with pytest.raises(CorruptEntryError, match=r"missing 2 \(0, 45\), extra none"):
+        load_qtable(path)
+
+
+def test_load_rejects_a_table_with_extra_states(q_uniform, tmp_path):
+    path = tmp_path / "q.json"
+    write_entries(path, q_uniform, add=(99999, 1))  # out of range; O to move
+    with pytest.raises(CorruptEntryError, match=r"missing none, extra 2 \(1, 99999\)"):
+        load_qtable(path)
+
+
+def test_load_names_at_most_five_states_per_side(q_uniform, tmp_path):
+    path = tmp_path / "q.json"
+    write_entries(path, q_uniform, drop=sorted(q_uniform.entries)[:7])
+    with pytest.raises(CorruptEntryError, match=r"missing 7 \((\d+, ){4}\d+, \.\.\.\), extra none"):
         load_qtable(path)
