@@ -61,15 +61,21 @@ class UniformRandomOpponent:
         return tuple((c, p) for c in cells)
 
 
+@lru_cache(maxsize=None)
+def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
+    """O's game-theoretic best replies on a board, ties split uniformly."""
+    cells = empty_cells(index)
+    values = [game_value(place_mark(index, c, 2)) for c in cells]
+    best = min(values)  # O minimizes X's value
+    winners = [c for c, v in zip(cells, values) if v == best]
+    p = 1.0 / len(winners)
+    return tuple((c, p) for c in winners)
+
+
 @dataclass(frozen=True)
 class MinimaxOpponent:
     def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        cells = empty_cells(index)
-        values = [game_value(place_mark(index, c, 2)) for c in cells]
-        best = min(values)  # O minimizes X's value
-        winners = [c for c, v in zip(cells, values) if v == best]
-        p = 1.0 / len(winners)
-        return tuple((c, p) for c in winners)
+        return _minimax_replies(index)
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,16 @@ class EpsilonMinimaxOpponent:
     def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
         cells = empty_cells(index)
         base = self.eps / len(cells)
-        probs = {c: base for c in cells}
-        for c, p in MinimaxOpponent().reply_probs(index):
-            probs[c] += (1.0 - self.eps) * p
-        return tuple((c, p) for c, p in sorted(probs.items()) if p > 0.0)
+        share = 1.0 - self.eps
+        best = dict(_minimax_replies(index))
+        probs = []
+        for c in cells:
+            # eps / n plus (1 - eps) * p, in this order: Q-tables and episode
+            # sampling depend on these exact floats
+            p = base + share * best[c] if c in best else base
+            if p > 0.0:
+                probs.append((c, p))
+        return tuple(probs)
 
 
 OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOpponent]

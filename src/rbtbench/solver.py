@@ -1,4 +1,4 @@
-"""Exact Q-values for the fully observed game, by memoized expectimax.
+"""Exact Q-values for the fully observed game, by bottom-up expectimax.
 
 For every reachable, non-terminal board with X to move, ``solve_q`` computes
 Q(s, a) for all nine actions against a fixed opponent model:
@@ -21,7 +21,7 @@ from functools import lru_cache
 from .game import (
     GameStatus,
     POW3,
-    cell_mark,
+    empty_cells,
     enumerate_reachable_states,
     index_status,
     index_to_move,
@@ -76,53 +76,86 @@ def decision_states() -> frozenset[int]:
     )
 
 
-def solve_q(opponent: OpponentModel) -> QTable:
-    """Solve Q(s, a) exactly for every X-to-move, non-terminal reachable board."""
-    entries: dict[int, list[float]] = {}
-    values: dict[int, float] = {}
+# Successor codes in an after-X board's reply table that are not boards.
+_O_WINS = -1
+_DRAW = -2
 
-    def state_value(index: int) -> float:
-        v = values.get(index)
-        if v is None:
-            v = max(q_row(index))
-            values[index] = v
-        return v
 
-    def q_row(index: int) -> list[float]:
-        row = entries.get(index)
-        if row is not None:
-            return row
-        row = []
-        for action in range(9):
-            if cell_mark(index, action) != 0:
-                row.append(-1.0)
-                continue
+@lru_cache(maxsize=None)
+def _solve_plan() -> tuple[tuple, dict[int, tuple[int, ...]]]:
+    """The opponent-independent part of ``solve_q``, built once per import.
+
+    Returns ``(rows, replies)``.  ``rows`` lists every decision state with the
+    fewest empty cells first, so each row's successors come before it, as
+    ``(index, template, open_moves)``: ``template`` holds the fixed value of
+    each occupied (-1), winning (+1) or board-filling (0) action, and
+    ``open_moves`` pairs every other action with its in-progress after-X
+    board.  ``replies`` maps each such board to a nine-slot tuple holding,
+    for each cell O may reply on, the after-O board, ``_O_WINS`` or
+    ``_DRAW``.  Every solve shares the plan and only reads it.
+    """
+    rows = []
+    templates: dict[tuple[float, ...], tuple[float, ...]] = {}  # 69 distinct; shared
+    replies: dict[int, tuple[int, ...]] = {}
+    for index in sorted(decision_states(), key=lambda i: (len(empty_cells(i)), i)):
+        template = [-1.0] * 9
+        open_moves = []
+        for action in empty_cells(index):
             after_x = index + POW3[action]  # X mark = digit 1
             st = index_status(after_x)
             if st is GameStatus.X_WINS:
-                row.append(1.0)
+                template[action] = 1.0
             elif st is GameStatus.DRAW:
-                row.append(0.0)
+                template[action] = 0.0
             else:
+                open_moves.append((action, after_x))
+                if after_x not in replies:
+                    succ = [_DRAW] * 9
+                    for reply in empty_cells(after_x):
+                        after_o = place_mark(after_x, reply, 2)
+                        st2 = index_status(after_o)
+                        if st2 is GameStatus.O_WINS:
+                            succ[reply] = _O_WINS
+                        elif st2 is not GameStatus.DRAW:
+                            succ[reply] = after_o
+                    replies[after_x] = tuple(succ)
+        template = templates.setdefault(tuple(template), tuple(template))
+        rows.append((index, template, tuple(open_moves)))
+    return tuple(rows), replies
+
+
+def solve_q(opponent: OpponentModel) -> QTable:
+    """Solve Q(s, a) exactly for every X-to-move, non-terminal reachable board.
+
+    Walks the plan bottom-up: each after-X expectation is computed once, from
+    the already solved values of its after-O boards.
+    """
+    rows, replies = _solve_plan()
+    entries: dict[int, list[float]] = {}
+    values: dict[int, float] = {}  # decision state -> max-action value
+    expectations: dict[int, float] = {}  # after-X board -> expected value
+    for index, template, open_moves in rows:
+        row = list(template)
+        for action, after_x in open_moves:
+            total = expectations.get(after_x)
+            if total is None:
+                succ = replies[after_x]
                 total = 0.0
                 for reply, p in reply_distribution(opponent, after_x):
-                    after_o = place_mark(after_x, reply, 2)
-                    st2 = index_status(after_o)
-                    if st2 is GameStatus.O_WINS:
+                    after_o = succ[reply]
+                    if after_o == _O_WINS:
                         total -= p
-                    elif st2 is not GameStatus.DRAW:
-                        total += p * state_value(after_o)
+                    elif after_o != _DRAW:
+                        total += p * values[after_o]
                 if not -1.0 <= total <= 1.0:
                     # Reply probabilities can sum to 1 + ulp in floating point
                     # (eps-minimax adds two shares per cell); an expectation
                     # of values in [-1, 1] must not leave that range.
                     total = 1.0 if total > 0.0 else -1.0
-                row.append(total)
+                expectations[after_x] = total
+            row[action] = total
         entries[index] = row
-        return row
-
-    for index in sorted(decision_states()):
-        q_row(index)
+        values[index] = max(row)
     return QTable(opponent=descriptor(opponent), entries=entries)
 
 
@@ -132,27 +165,37 @@ def save_qtable(q: QTable, path) -> None:
         "version": FORMAT_VERSION,
         "opponent": q.opponent,
         "gamma": q.gamma,
-        "entries": {str(i): row for i, row in sorted(q.entries.items())},
+        "entries": {str(i): row for i, row in q.entries.items()},  # sorted by sort_keys
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        # json.dumps takes the C encoder; json.dump on a file handle does not
+        fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def load_qtable(path) -> QTable:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CorruptEntryError(f"a Q-table file holds a JSON object, this one holds {_json_type(payload)}")
     version = payload.get("version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatchError(
             f"expected version {FORMAT_VERSION}, file has {version!r}"
         )
     from_descriptor(payload["opponent"])  # validates the header tag
+    rows = payload.get("entries")
+    if not isinstance(rows, dict):
+        got = _json_type(rows) if "entries" in payload else "nothing"
+        raise CorruptEntryError(f'"entries" must be a JSON object, got {got}')
     entries: dict[int, list[float]] = {}
-    for key, row in payload["entries"].items():
+    for key, row in rows.items():
         if not isinstance(row, list) or len(row) != 9:
             raise CorruptEntryError(f"state {key}: expected 9 action values")
-        row = [float(v) for v in row]
+        try:
+            row = [float(v) for v in row]
+        except (TypeError, ValueError):
+            raise CorruptEntryError(f"state {key}: action values must be numbers") from None
+        # NaN fails every comparison, so it is rejected here with the infinities
         if any(not -1.0 <= v <= 1.0 for v in row):
             raise CorruptEntryError(f"state {key}: value outside [-1, 1]")
         entries[int(key)] = row
@@ -165,6 +208,12 @@ def load_qtable(path) -> QTable:
             f"missing {_listed(missing)}, extra {_listed(extra)}"
         )
     return QTable(opponent=payload["opponent"], entries=entries, gamma=float(payload["gamma"]))
+
+
+def _json_type(value) -> str:
+    """JSON name of a parsed value's type, for error messages."""
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number"}
+    return names.get(type(value), "null")
 
 
 def _listed(states: list[int], shown: int = 5) -> str:

@@ -96,6 +96,17 @@ def reply_probs(cells, kind):
     return sorted(probs.items())
 
 
+def eps_minimax_reply_tuple(cells, eps):
+    """The eps-minimax (cell, p) tuple by the dict-then-sorted formula.
+
+    Uniform shares eps / n go into a dict, each minimax reply adds
+    (1 - eps) * p to its cell, and the cells come out sorted with zero shares
+    dropped.  The float operations are those the library must perform, in
+    the same order, so the comparison is exact.
+    """
+    return tuple((i, p) for i, p in reply_probs(cells, ("eps", eps)) if p > 0.0)
+
+
 def expectimax_q(cells, action, kind):
     """Naive (memoless) Q(s, a) for X on a non-terminal X-to-move board."""
     if cells[action] != 0:

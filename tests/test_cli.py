@@ -231,3 +231,29 @@ def test_qtable_with_missing_and_extra_states_fails_before_any_episode(q_uniform
     err = one_line_error(capsys)
     assert "missing 1 (45)" in err and "extra 1 (99999)" in err
     assert not trace.exists()
+
+
+def test_qtable_that_is_not_a_json_object_fails_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1,2]")
+    assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
+    err = one_line_error(capsys)
+    assert "JSON object" in err and "an array" in err
+
+
+def test_qtable_whose_entries_are_not_an_object_fails_in_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version":1,"opponent":"uniform","gamma":1.0,"entries":[]}')
+    assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
+    err = one_line_error(capsys)
+    assert '"entries" must be a JSON object, got an array' in err
+
+
+def test_qtable_with_a_non_numeric_value_fails_in_one_line(q_uniform_path, tmp_path, capsys):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["0"][4] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
+    err = one_line_error(capsys)
+    assert "state 0: action values must be numbers" in err

@@ -3,18 +3,43 @@
 A rerun that matches itself shows determinism, not correctness: a change that
 shifted every output the same way on each run would still pass it.  These
 digests were recorded before the episode step was memoized (per-belief
-decisions, cached window reads, the successor kernel), so any byte that the
-caches change fails here.  A deliberate change of an output format must
+decisions, cached window reads, the successor kernel) and, for the Q-tables,
+before the solver was rewritten bottom-up, so any byte that those changes
+move fails here.  A deliberate change of an output format must
 update them and say so.
 """
 
 import hashlib
 
-from rbtbench.cli import main
-from rbtbench.solver import qtable_digest, save_qtable
+import pytest
 
-Q_UNIFORM = "273dd45de8f4091c5dea0b975859407829656b5cc258b960e70c6c8a92a88971"
-Q_MINIMAX = "4202d9ddf544c778e55177061a5ede18d271f40d96297664191ad4430327ec0e"
+from rbtbench.cli import main, parse_opponent
+from rbtbench.solver import qtable_digest, save_qtable, solve_q
+
+# Every table the solve-grid benchmark workload writes.
+QTABLES = {
+    "uniform": "273dd45de8f4091c5dea0b975859407829656b5cc258b960e70c6c8a92a88971",
+    "minimax": "4202d9ddf544c778e55177061a5ede18d271f40d96297664191ad4430327ec0e",
+    "eps:0.05": "8529b0651e2031f8b30e5ab6db347bc691c0f57f3cbff60e7cb5f39c651837c9",
+    "eps:0.10": "39a1c8cb05113d5f87a88228809efd729e2bdca7470b5c11dc7d97aa9e6381c5",
+    "eps:0.15": "2eb9281c54fa5bc4bf79bb88c03a7b45378cc257dbb4a49967a70f17fd4d2116",
+    "eps:0.20": "144b4b25160ef59b3e12bf14a7810a08723b89fb51feb5c60764b4782b9f2c7d",
+    "eps:0.25": "e9aee71c3d3c83504b37ace34a5d4f8fca036e51c5d24a2ce2fae4856461b834",
+    "eps:0.30": "b4dbe3180baaaf340dc06b02b82a2d7fa798c8bd1ae96aa6fab4269e9ddeca3a",
+    "eps:0.35": "20479b2ce62521d61102d3e2a17037abfa1f96c0e9ebd25d816c3464a53edfef",
+    "eps:0.40": "46811575540109e5b2665a98146791063e801ad8c0873a055897c4933b0d4270",
+    "eps:0.45": "9a74ea8f58b24bd4c0cc09d6a071bd25b871fbcc13cfe71acfbacd2206d653c8",
+    "eps:0.50": "4ec3e78a883b26e8a8b726da620ab78610c762f99ae855fd7728f0bd3d2dc428",
+    "eps:0.55": "ca7639b6ba3678a17c8e5339bafff34edf84ae43c807692010b2a68753e5136c",
+    "eps:0.60": "3aaf5553e5631afe9536fb5d9fed640cf2e834b557d264b07db6c0af97a079cf",
+    "eps:0.65": "4729fb83e16e18ef53075be8abbd7916c64928df2c255232b3e201c26d55fc87",
+    "eps:0.70": "849369a2115507ef9b649017d76914f5a50cf09fc815edb4f80bf8330177c2b8",
+    "eps:0.75": "69b4504e2c809f677a83e5a15e9d3232a15051fbc79a5eb1d999a104471f5e7d",
+    "eps:0.80": "ceca16f00a2e159d0a69e821e8293ad29cc93ffb366cddfe45e332641f549818",
+    "eps:0.85": "c95f837929d8d1eff0ba0f36f9a06459686aa137f7296e4088ba31c5833481cd",
+    "eps:0.90": "9e8a4f2ad651a9235ea215116b0f054c5db330d2ebc4a99b9251955eb74fba5b",
+    "eps:0.95": "434b4404e6b61b3aa374a687ca74c7e3afab604c895a84d5a528e160b7f89403",
+}
 
 SWEEP = {
     "returns.csv": "926a1871c4615b10f58fafd963a0136ce08f3b3a1eb4f801d83c2b7a0399cb23",
@@ -29,10 +54,17 @@ def sha256(path) -> str:
 
 
 def test_qtables_match_pinned_digests(q_uniform_path, q_minimax, tmp_path):
-    assert qtable_digest(q_uniform_path) == Q_UNIFORM
+    assert qtable_digest(q_uniform_path) == QTABLES["uniform"]
     path = tmp_path / "minimax.json"
     save_qtable(q_minimax, path)
-    assert qtable_digest(path) == Q_MINIMAX
+    assert qtable_digest(path) == QTABLES["minimax"]
+
+
+@pytest.mark.parametrize("spec", QTABLES)
+def test_every_solve_grid_table_matches_its_pinned_digest(spec, tmp_path):
+    path = tmp_path / "q.json"
+    save_qtable(solve_q(parse_opponent(spec)), path)
+    assert qtable_digest(path) == QTABLES[spec]
 
 
 def test_sweep_outputs_match_pinned_digests(q_uniform_path, tmp_path, capsys):

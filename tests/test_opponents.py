@@ -11,6 +11,7 @@ from rbtbench.opponents import (
     descriptor,
     from_descriptor,
     opponent_distribution,
+    reply_distribution,
 )
 
 import oracles
@@ -116,6 +117,16 @@ def test_minimax_agrees_with_oracle_reply_sets():
         assert opponent_distribution(MinimaxOpponent(), b) == dict(
             oracles.reply_probs(cells, "minimax")
         )
+
+
+@pytest.mark.parametrize("eps", [k / 20 for k in range(21)])
+def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
+    # episodes with an eps opponent sample from these tuples, which the
+    # Q-table digests do not cover
+    model = EpsilonMinimaxOpponent(eps)
+    for index in o_to_move_states():
+        cells = tuple(int(c) for c in decode_state(index).cells)
+        assert reply_distribution(model, index) == oracles.eps_minimax_reply_tuple(cells, eps)
 
 
 def test_descriptor_round_trip():

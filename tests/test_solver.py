@@ -137,6 +137,19 @@ def test_load_rejects_out_of_range_value(tmp_path):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_rejects_non_finite_values(q_uniform_path, tmp_path, value):
+    # json reads NaN, Infinity and -Infinity; NaN fails every comparison,
+    # so the range check must reject it along with the infinities
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["0"][4] = value
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    assert json.dumps(value) in path.read_text()  # NaN, Infinity or -Infinity
+    with pytest.raises(CorruptEntryError, match="state 0: value outside"):
+        load_qtable(path)
+
+
 def test_load_validates_opponent_tag(tmp_path):
     path = tmp_path / "q.json"
     payload = {"version": 1, "opponent": "alphabeta", "gamma": 1.0, "entries": {}}
