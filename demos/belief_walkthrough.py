@@ -10,7 +10,6 @@ from rbtbench import (
     UniformRandomOpponent,
     WindowPlacement,
     WindowShape,
-    decode_state,
     initial_belief,
     mixture_values,
     observation_distribution,
@@ -18,7 +17,7 @@ from rbtbench import (
     solve_q,
     update,
 )
-from rbtbench.game import CellMark
+from rbtbench.game import cell_mark
 
 opponent = UniformRandomOpponent()
 q = solve_q(opponent)
@@ -27,8 +26,7 @@ q = solve_q(opponent)
 def show(belief, label):
     print(label)
     for state, p in sorted(belief.items(), key=lambda kv: -kv[1]):
-        cells = decode_state(state).cells
-        rows = ["".join(".XO"[cells[r * 3 + c]] for c in range(3)) for r in range(3)]
+        rows = ["".join(".XO"[cell_mark(state, r * 3 + c)] for c in range(3)) for r in range(3)]
         print(f"   {rows[0]}   p={p:.4f}")
         print(f"   {rows[1]}")
         print(f"   {rows[2]}\n")
@@ -44,7 +42,7 @@ show(belief, f"after our center move + unseen reply: {len(belief)} boards")
 # a 2x2 window at the top-left is revealed: our center X and nothing else,
 # which rules out every board with the opponent's mark in cells 0, 1, or 3
 placement = WindowPlacement(top=0, left=0, shape=WindowShape(2, 2))
-contents = (CellMark.EMPTY, CellMark.EMPTY, CellMark.EMPTY, CellMark.X)
+contents = (0, 0, 0, 1)  # cell digits: 0 empty, 1 X, 2 O
 belief = update(belief, Observation(placement=placement, contents=contents))
 show(belief, f"after the top-left window shows only our own mark: {len(belief)} boards")
 

@@ -8,9 +8,9 @@ from rbtbench import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
     UniformRandomOpponent,
-    decode_state,
     solve_q,
 )
+from rbtbench.game import cell_mark, empty_cells
 
 CELL_NAMES = ["top-left", "top", "top-right", "left", "center", "right",
               "bottom-left", "bottom", "bottom-right"]
@@ -37,10 +37,9 @@ for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
 print()
 
 # a board mid-game: X at top-left and center, O at top and right
-board_index = next(i for i in q_uniform.entries if decode_state(i).move_count() == 4)
-b = decode_state(board_index)
+board_index = next(i for i in q_uniform.entries if len(empty_cells(i)) == 5)
 print(f"A 4-mark board (index {board_index}):")
 for r in range(3):
-    print("   " + "".join(".XO"[b.cells[r * 3 + c]] for c in range(3)))
+    print("   " + "".join(".XO"[cell_mark(board_index, r * 3 + c)] for c in range(3)))
 print("  Q row:", " ".join(f"{v:+.3f}" for v in q_uniform.entries[board_index]))
 print("  (occupied cells are pinned at -1: playing them ends the episode)")

@@ -18,7 +18,6 @@ from .belief import (
     ZeroEvidenceError,
     initial_belief,
     observation_distribution,
-    observation_likelihood,
     predict,
     update,
 )
@@ -31,24 +30,16 @@ from .env import (
     EpisodeResult,
     Outcome,
     StepRecord,
-    make_observation,
+    decide,
     run_episode,
     run_episodes,
     sample_window,
 )
 from .game import (
     Action,
-    BoardState,
-    CellMark,
     GameStatus,
     InvalidStateError,
-    OccupiedCellError,
-    apply_action,
-    decode_state,
-    encode_state,
     enumerate_reachable_states,
-    status,
-    valid_actions,
 )
 from .metrics import (
     InsufficientSamplesError,
@@ -57,7 +48,6 @@ from .metrics import (
     aggregate_by_timestep,
     iou,
     mean_ci95,
-    value_margin,
 )
 from .opponents import (
     EpsilonMinimaxOpponent,
@@ -65,14 +55,11 @@ from .opponents import (
     OpponentModel,
     TerminalStateError,
     UniformRandomOpponent,
-    opponent_distribution,
 )
 from .policy import (
     ActionSet,
     ActionValues,
     MissingQEntryError,
-    act_alt,
-    act_mixture,
     alt_values,
     argmax_set,
     max_belief_states,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .game import Action, BoardState, CellMark, GameStatus, POW3, cell_mark, index_status
+from .game import Action, GameStatus, POW3, cell_mark, index_status
 from .opponents import OpponentModel, reply_distribution
 
 Belief = dict[int, float]
@@ -73,9 +73,6 @@ class WindowShape:
         )
 
 
-_MARKS = (CellMark.EMPTY, CellMark.X, CellMark.O)
-
-
 @dataclass(frozen=True)
 class WindowPlacement:
     top: int
@@ -106,7 +103,7 @@ class WindowPlacement:
         """
         obs = self._reads.get(index)
         if obs is None:
-            contents = tuple(_MARKS[index // d % 3] for d in self._divisors)
+            contents = tuple(index // d % 3 for d in self._divisors)
             obs = self._observations.get(contents)
             if obs is None:
                 obs = self._observations[contents] = Observation(placement=self, contents=contents)
@@ -114,35 +111,25 @@ class WindowPlacement:
         return obs
 
 
-def window_cells(placement: WindowPlacement) -> tuple[int, ...]:
-    """Board cells covered by a placed window, in row-major window order."""
-    return placement.cells()
-
-
 @dataclass(frozen=True)
 class Observation:
+    """A window read: the cell digits (0 empty / 1 X / 2 O) in row-major window order."""
+
     placement: WindowPlacement
-    contents: tuple[CellMark, ...]
+    contents: tuple[int, ...]
 
     def __post_init__(self):
         expected = self.placement.shape.height * self.placement.shape.width
         if len(self.contents) != expected:
             raise ValueError(f"expected {expected} cells of contents, got {len(self.contents)}")
-        object.__setattr__(self, "contents", tuple(CellMark(c) for c in self.contents))
+        if any(type(c) is not int or not 0 <= c <= 2 for c in self.contents):  # no bools or floats
+            raise ValueError(f"window contents must be cell digits 0, 1 or 2, got {list(self.contents)}")
+        object.__setattr__(self, "contents", tuple(self.contents))
 
 
 def initial_belief() -> Belief:
     """Point mass on the empty board: the only possible state before any move."""
     return {0: 1.0}
-
-
-def observation_likelihood(obs: Observation, state: BoardState) -> int:
-    """1 if the window read off `state` would equal `obs`, else 0."""
-    return _matches(obs, sum(int(c) * p for c, p in zip(state.cells, POW3)))
-
-
-def _matches(obs: Observation, index: int) -> bool:
-    return obs.placement.observe(index).contents == obs.contents
 
 
 def _normalized(mass: dict[int, float]) -> Belief:

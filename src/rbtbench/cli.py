@@ -37,7 +37,7 @@ from .env import (
     StepRecord,
     run_episodes,
 )
-from .game import CellMark, cell_mark
+from .game import cell_mark
 from .metrics import SweepRow, aggregate_by_timestep, mean_ci95
 from .opponents import (
     EpsilonMinimaxOpponent,
@@ -53,7 +53,7 @@ RETURNS_HEADER = "window,policy,episodes,mean_return,ci95"
 TIMESTEP_HEADER = "window,policy_pair,t,mean_iou,mean_margin,samples"
 POLICY_PAIR = "mixture_vs_maxbelief"
 
-MARK_CHARS = {CellMark.EMPTY: ".", CellMark.X: "X", CellMark.O: "O"}
+MARK_CHARS = ".XO"  # indexed by cell digit: empty, X, O
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
             "left": step.observation.placement.left,
             "height": step.observation.placement.shape.height,
             "width": step.observation.placement.shape.width,
-            "contents": [int(c) for c in step.observation.contents],
+            "contents": list(step.observation.contents),
         },
         "belief": {str(s): p for s, p in step.belief.items()},
         "belief_support_size": step.belief_support_size,
@@ -146,7 +146,7 @@ def step_from_json(obj: dict) -> tuple[int, StepRecord]:
     placement = WindowPlacement(
         top=o["top"], left=o["left"], shape=WindowShape(height=o["height"], width=o["width"])
     )
-    observation = Observation(placement=placement, contents=tuple(CellMark(c) for c in o["contents"]))
+    observation = Observation(placement=placement, contents=o["contents"])
     step = StepRecord(
         t=obj["t"],
         observation=observation,
@@ -256,7 +256,7 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
 
 def board_rows(index: int) -> list[str]:
     return [
-        "".join(MARK_CHARS[CellMark(cell_mark(index, r * 3 + c))] for c in range(3))
+        "".join(MARK_CHARS[cell_mark(index, r * 3 + c)] for c in range(3))
         for r in range(3)
     ]
 

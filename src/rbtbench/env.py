@@ -10,10 +10,11 @@ opponent sees the full board and never plays an invalid move.
 All randomness in an episode comes from one generator seeded by the config, so
 identical configs replay bit-identically.
 
-A step is a pure function of (belief, observation, Q-table), and beliefs
-repeat across episodes, so the Q-table memoizes the decision at each belief
-and the beliefs predicted from it (``Decision``).  The cache changes no
-result: a cold and a warm table give equal episodes.
+Both policies act on one ``decide(belief, q)``.  A decision is a pure
+function of the belief and the Q-table, and beliefs repeat across episodes,
+so ``decide`` keeps one per belief in the table's private cache, with the
+beliefs predicted from it.  The cache changes no result: a cold and a warm
+table give equal episodes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .belief import (
     predict,
     update,
 )
-from .game import Action, BoardState, GameStatus, cell_mark, encode_state, index_status, place_mark
+from .game import Action, GameStatus, cell_mark, index_status, place_mark
 from .metrics import iou
 from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -97,11 +98,6 @@ def sample_window(shape: WindowShape, rng: Random) -> WindowPlacement:
     return placements[rng.randrange(len(placements))]
 
 
-def make_observation(state: BoardState, placement: WindowPlacement) -> Observation:
-    """Read the true board through a placed window."""
-    return placement.observe(encode_state(state))
-
-
 def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
     pairs = reply_distribution(model, index)
     r = rng.random()
@@ -116,10 +112,9 @@ def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
 class Decision(NamedTuple):
     """What both policies make of one posterior belief, and what follows from it.
 
-    A decision is a pure function of the belief and the Q-table, so the table
-    keeps one per belief (``QTable._decisions``).  ``predictions`` holds the
-    beliefs predicted from this one, keyed by (action, opponent model); they
-    are never handed out, only fed to ``update``.
+    ``decide`` keeps one per belief in ``QTable._decisions``.  ``predictions``
+    holds the beliefs predicted from this one, keyed by (action, opponent
+    model); they are never handed out, only fed to ``update``.
     """
 
     a_mix: ActionSet
@@ -137,18 +132,29 @@ def _shared(actions: ActionSet) -> tuple[ActionSet, tuple[Action, ...]]:
     return actions, tuple(sorted(actions))
 
 
-def _decide(belief: Belief, q: QTable) -> Decision:
-    mix_vals = mixture_values(belief, q)
-    a_mix, mix_choices = _shared(argmax_set(mix_vals))
-    a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
-    margin = max(mix_vals) - mean_value(mix_vals, a_max)
-    return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices, {})
+def decide(belief: Belief, q: QTable) -> Decision:
+    """Both policies' argmax sets at a posterior belief, their IoU and value margin.
+
+    The mixture policy is greedy on the belief-weighted Q-values (QMDP), the
+    max-belief baseline on Q averaged over the modal states; ``rbtbench.metrics``
+    defines the margin.  Memoized per belief on ``q``.
+    """
+    key = (*belief, *belief.values())  # the items, flattened: n keys, then n values
+    decision = q._decisions.get(key)
+    if decision is None:
+        mix_vals = mixture_values(belief, q)
+        a_mix, mix_choices = _shared(argmax_set(mix_vals))
+        a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
+        margin = max(mix_vals) - mean_value(mix_vals, a_max)
+        decision = q._decisions[key] = Decision(
+            a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices, {}
+        )
+    return decision
 
 
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     belief_opponent = config.belief_opponent or config.opponent
-    decisions = q._decisions
     board = 0
     belief = initial_belief()
     decision: Optional[Decision] = None
@@ -168,10 +174,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         belief = update(belief, obs)
         true_states.append(board)
 
-        key = (*belief, *belief.values())  # the items, flattened: n keys, then n values
-        decision = decisions.get(key)
-        if decision is None:
-            decision = decisions[key] = _decide(belief, q)
+        decision = decide(belief, q)
 
         if config.policy == MIXTURE:
             action = rng.choice(decision.mix_choices)

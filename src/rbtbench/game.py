@@ -1,28 +1,20 @@
-"""TicTacToe ground rules: board encoding, win detection, move application.
+"""TicTacToe ground rules on integer boards: win detection and move application.
 
-The agent always plays X and moves first; the opponent plays O.  Boards are
-canonically encoded as base-3 integers (cell i contributes digit(cells[i])*3^i
-with empty=0, X=1, O=2), which makes every board a key in [0, 19683) and keeps
-Q-table files and belief dictionaries bit-stable.
-
-Besides the `BoardState` value type, this module exposes an integer fast path
-(`cell_mark`, `place_mark`, `index_status`, `empty_cells`) used by the solver
-and the belief filter, where constructing board objects per successor would
-dominate the runtime.
+The agent always plays X and moves first; the opponent plays O.  A board is a
+base-3 integer (cell i contributes digit*3^i with empty=0, X=1, O=2), so every
+board is a key in [0, 19683) and Q-table files and belief dictionaries stay
+bit-stable.  This integer encoding is the only board representation: the
+solver, the opponents, the belief filter and the episode loop all work on it
+through `cell_mark`, `place_mark`, `index_status` and `empty_cells`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import lru_cache
 
 # Cell index of each action, row-major: action k marks cell (k // 3, k % 3).
 Action = int
-
-ALL_ACTIONS: tuple[Action, ...] = tuple(range(9))
-
-NUM_STATES = 3**9  # 19683 raw encodings; far fewer are valid boards
 
 POW3 = tuple(3**i for i in range(9))
 
@@ -33,12 +25,6 @@ LINES = (
 )
 
 
-class CellMark(IntEnum):
-    EMPTY = 0
-    X = 1
-    O = 2
-
-
 class GameStatus(Enum):
     IN_PROGRESS = "in_progress"
     X_WINS = "x_wins"
@@ -47,93 +33,8 @@ class GameStatus(Enum):
 
 
 class InvalidStateError(ValueError):
-    """Board violates the reachable-game invariants (parity, double lines)."""
+    """Board violates the reachable-game invariants (both players hold a line)."""
 
-
-class OccupiedCellError(ValueError):
-    """Move targets a non-empty cell."""
-
-
-def _status_of(cells) -> GameStatus:
-    x_line = any(cells[a] == 1 and cells[b] == 1 and cells[c] == 1 for a, b, c in LINES)
-    o_line = any(cells[a] == 2 and cells[b] == 2 and cells[c] == 2 for a, b, c in LINES)
-    if x_line and o_line:
-        raise InvalidStateError("both players have a completed line")
-    if x_line:
-        return GameStatus.X_WINS
-    if o_line:
-        return GameStatus.O_WINS
-    if all(c != 0 for c in cells):
-        return GameStatus.DRAW
-    return GameStatus.IN_PROGRESS
-
-
-@dataclass(frozen=True)
-class BoardState:
-    """Full 3x3 board, row-major cells. Validates invariants on construction."""
-
-    cells: tuple[CellMark, ...]
-
-    def __post_init__(self):
-        if len(self.cells) != 9:
-            raise InvalidStateError(f"expected 9 cells, got {len(self.cells)}")
-        try:
-            cells = tuple(CellMark(c) for c in self.cells)
-        except ValueError as exc:
-            raise InvalidStateError(str(exc)) from None
-        object.__setattr__(self, "cells", cells)
-        n_x = sum(1 for c in cells if c == CellMark.X)
-        n_o = sum(1 for c in cells if c == CellMark.O)
-        if n_x - n_o not in (0, 1):
-            raise InvalidStateError(f"mark counts X={n_x}, O={n_o} break move parity")
-        _status_of(cells)  # raises on double completed lines
-
-    @classmethod
-    def empty(cls) -> "BoardState":
-        return cls(cells=(CellMark.EMPTY,) * 9)
-
-    def to_move(self) -> CellMark:
-        """Player whose turn it is (X when mark counts are equal)."""
-        n_x = sum(1 for c in self.cells if c == CellMark.X)
-        n_o = sum(1 for c in self.cells if c == CellMark.O)
-        return CellMark.X if n_x == n_o else CellMark.O
-
-    def move_count(self) -> int:
-        return sum(1 for c in self.cells if c != CellMark.EMPTY)
-
-
-def encode_state(board: BoardState) -> int:
-    """Canonical base-3 index of a board."""
-    return sum(int(c) * p for c, p in zip(board.cells, POW3))
-
-
-@lru_cache(maxsize=None)
-def decode_state(index: int) -> BoardState:
-    """Inverse of `encode_state`; rejects out-of-range or invariant-violating indices."""
-    if not 0 <= index < NUM_STATES:
-        raise InvalidStateError(f"state index {index} outside [0, {NUM_STATES})")
-    return BoardState(cells=tuple(CellMark(index // p % 3) for p in POW3))
-
-
-def status(board: BoardState) -> GameStatus:
-    return _status_of(board.cells)
-
-
-def valid_actions(board: BoardState) -> tuple[Action, ...]:
-    """Actions whose target cell is empty, in ascending cell order."""
-    return tuple(a for a in ALL_ACTIONS if board.cells[a] == CellMark.EMPTY)
-
-
-def apply_action(board: BoardState, action: Action, player: CellMark) -> BoardState:
-    if player not in (CellMark.X, CellMark.O):
-        raise ValueError(f"player must be X or O, got {player!r}")
-    if board.cells[action] != CellMark.EMPTY:
-        raise OccupiedCellError(f"cell {action} already holds {board.cells[action].name}")
-    cells = board.cells[:action] + (player,) + board.cells[action + 1:]
-    return BoardState(cells=cells)
-
-
-# --- integer fast path ------------------------------------------------------
 
 def cell_mark(index: int, cell: int) -> int:
     """Digit (0 empty / 1 X / 2 O) of one cell, straight from the encoding."""
@@ -147,7 +48,19 @@ def place_mark(index: int, cell: int, mark: int) -> int:
 
 @lru_cache(maxsize=None)
 def index_status(index: int) -> GameStatus:
-    return _status_of([index // p % 3 for p in POW3])
+    """Win, loss, draw or in progress; raises InvalidStateError on a double line."""
+    cells = [index // p % 3 for p in POW3]
+    x_line = any(cells[a] == 1 and cells[b] == 1 and cells[c] == 1 for a, b, c in LINES)
+    o_line = any(cells[a] == 2 and cells[b] == 2 and cells[c] == 2 for a, b, c in LINES)
+    if x_line and o_line:
+        raise InvalidStateError("both players have a completed line")
+    if x_line:
+        return GameStatus.X_WINS
+    if o_line:
+        return GameStatus.O_WINS
+    if all(c != 0 for c in cells):
+        return GameStatus.DRAW
+    return GameStatus.IN_PROGRESS
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
-"""Evaluation metrics: action-set IoU, value margin, return aggregation.
+"""Evaluation metrics: action-set IoU, per-timestep aggregation, return CIs.
 
-The value margin compares the two policies on the mixture value scale (the
-best computable stand-in for the true belief value, which is intractable):
-margin = mixture value of the mixture policy's choice minus the expected
-mixture value of a uniform choice from the max-belief policy's action set.
-It is nonnegative up to tie tolerance by construction.
+The per-step IoU and value margin come from ``env.decide``.  The margin
+compares the two policies on the mixture value scale (the best computable
+stand-in for the true belief value, which is intractable): the mixture value
+of the mixture policy's choice minus the expected mixture value of a uniform
+choice from the max-belief set, nonnegative up to the argmax tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .belief import Belief
-from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
-from .solver import QTable
+from .policy import ActionSet
 
 
 class InsufficientSamplesError(ValueError):
@@ -44,13 +42,6 @@ class TimestepAggregate:
 def iou(a: ActionSet, b: ActionSet) -> float:
     """Jaccard index |a & b| / |a | b| of two non-empty action sets."""
     return len(a & b) / len(a | b)
-
-
-def value_margin(belief: Belief, q: QTable) -> float:
-    """Mixture-value advantage of the mixture policy over the max-belief one."""
-    values = mixture_values(belief, q)
-    a_max = argmax_set(alt_values(belief, q))
-    return max(values) - mean_value(values, a_max)
 
 
 def mean_ci95(returns: Sequence[float]) -> tuple[float, float]:

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .game import (
-    BoardState,
-    CellMark,
-    GameStatus,
-    empty_cells,
-    encode_state,
-    index_status,
-    index_to_move,
-    place_mark,
-)
+from .game import GameStatus, empty_cells, index_status, index_to_move, place_mark
 
 
 class TerminalStateError(ValueError):
@@ -106,20 +97,16 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 @lru_cache(maxsize=None)
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
-    """Cached (cell, probability) pairs for an O-to-move, non-terminal board index."""
+    """Cached (cell, probability) pairs for an O-to-move, non-terminal board index.
+
+    Raises TerminalStateError on a finished board and ValueError when X is to
+    move; both checks run only on a cache miss.
+    """
     if index_status(index) is not GameStatus.IN_PROGRESS:
         raise TerminalStateError(f"board {index} is terminal")
+    if index_to_move(index) != 2:
+        raise ValueError(f"board {index} has X to move; the opponent plays O")
     return model.reply_probs(index)
-
-
-def opponent_distribution(model: OpponentModel, board: BoardState) -> dict[int, float]:
-    """Probability of each legal O reply on `board`.
-
-    Raises TerminalStateError if the board is finished.
-    """
-    if board.to_move() is not CellMark.O:
-        raise ValueError("opponent_distribution requires O to move")
-    return dict(reply_distribution(model, encode_state(board)))
 
 
 def descriptor(model: OpponentModel):
@@ -139,5 +126,8 @@ def from_descriptor(desc) -> OpponentModel:
     if desc == "minimax":
         return MinimaxOpponent()
     if isinstance(desc, dict) and set(desc) == {"eps_minimax"}:
-        return EpsilonMinimaxOpponent(eps=float(desc["eps_minimax"]))
+        eps = desc["eps_minimax"]
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+            raise ValueError(f"eps_minimax must be a number, got {eps!r}")
+        return EpsilonMinimaxOpponent(eps=float(eps))
     raise ValueError(f"unknown opponent descriptor {desc!r}")

@@ -8,16 +8,15 @@ benchmark compares against.
 
 Argmax over floats is ill-posed, so both policies use a set-valued argmax with
 a small absolute tolerance and break ties uniformly at random from the set.
+``env.decide`` applies both rules to a belief.
 """
 
 from __future__ import annotations
 
 from math import fsum
-from random import Random
 from typing import Sequence
 
 from .belief import Belief
-from .game import Action
 from .solver import QTable
 
 ARGMAX_TOL = 1e-9
@@ -70,19 +69,6 @@ def alt_values(belief: Belief, q: QTable) -> ActionValues:
             raise MissingQEntryError(state)
         values = [v + weight * r for v, r in zip(values, row)]
     return values
-
-
-def act_mixture(belief: Belief, q: QTable, rng: Random) -> tuple[Action, ActionSet, ActionValues]:
-    """Greedy mixture action, its argmax set, and the values behind it."""
-    values = mixture_values(belief, q)
-    best = argmax_set(values)
-    return rng.choice(sorted(best)), best, values
-
-
-def act_alt(belief: Belief, q: QTable, rng: Random) -> tuple[Action, ActionSet]:
-    """Greedy max-belief action and its argmax set."""
-    best = argmax_set(alt_values(belief, q))
-    return rng.choice(sorted(best)), best
 
 
 def mean_value(values: ActionValues, actions: ActionSet) -> float:

@@ -44,7 +44,7 @@ class CorruptEntryError(ValueError):
 class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
 
-    Entries are read-only once episodes run on the table: ``run_episode``
+    Entries are read-only once episodes run on the table: ``env.decide``
     memoizes one decision per belief, and the beliefs predicted from it, in
     the table's private cache, and those results are computed from the
     entries.  To change values, build a new ``QTable``.
@@ -52,12 +52,8 @@ class QTable:
 
     opponent: object  # descriptor: "uniform" | "minimax" | {"eps_minimax": p}
     entries: dict[int, list[float]] = field(default_factory=dict)
-    gamma: float = 1.0
-    # belief key -> cached decision, filled by env.run_episode
+    # belief key -> cached decision, filled by env.decide
     _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def values(self, state_index: int) -> list[float]:
-        return self.entries[state_index]
 
     def state_value(self, state_index: int) -> float:
         return max(self.entries[state_index])
@@ -164,7 +160,7 @@ def save_qtable(q: QTable, path) -> None:
     payload = {
         "version": FORMAT_VERSION,
         "opponent": q.opponent,
-        "gamma": q.gamma,
+        "gamma": 1.0,  # values are undiscounted; load_qtable accepts no other
         "entries": {str(i): row for i, row in q.entries.items()},  # sorted by sort_keys
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -182,7 +178,16 @@ def load_qtable(path) -> QTable:
         raise FormatVersionMismatchError(
             f"expected version {FORMAT_VERSION}, file has {version!r}"
         )
-    from_descriptor(payload["opponent"])  # validates the header tag
+    if "opponent" not in payload:
+        raise CorruptEntryError('the Q-table header has no "opponent"')
+    try:
+        from_descriptor(payload["opponent"])  # validates the header tag
+    except ValueError as exc:
+        raise CorruptEntryError(f'"opponent": {exc}') from None
+    gamma = payload.get("gamma")
+    if isinstance(gamma, bool) or gamma != 1:  # True == 1 in Python
+        got = json.dumps(gamma) if "gamma" in payload else "nothing"
+        raise CorruptEntryError(f'"gamma" must be 1.0 (values are undiscounted), got {got}')
     rows = payload.get("entries")
     if not isinstance(rows, dict):
         got = _json_type(rows) if "entries" in payload else "nothing"
@@ -207,7 +212,7 @@ def load_qtable(path) -> QTable:
             f"Q-table entries must cover exactly the {len(expected)} reachable X-to-move states: "
             f"missing {_listed(missing)}, extra {_listed(extra)}"
         )
-    return QTable(opponent=payload["opponent"], entries=entries, gamma=float(payload["gamma"]))
+    return QTable(opponent=payload["opponent"], entries=entries)
 
 
 def _json_type(value) -> str:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from rbtbench import MinimaxOpponent, UniformRandomOpponent, save_qtable, solve_q
+from rbtbench import MinimaxOpponent, QTable, UniformRandomOpponent, save_qtable, solve_q
 
 settings.register_profile("deterministic", derandomize=True, max_examples=200)
 settings.load_profile("deterministic")
@@ -15,6 +15,12 @@ def q_uniform():
 @pytest.fixture(scope="session")
 def q_minimax():
     return solve_q(MinimaxOpponent())
+
+
+@pytest.fixture
+def q_uniform_cold(q_uniform):
+    """The uniform table's entries with an empty decision cache, so `decide` recomputes."""
+    return QTable(opponent=q_uniform.opponent, entries=q_uniform.entries)
 
 
 @pytest.fixture(scope="session")

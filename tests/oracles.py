@@ -41,6 +41,11 @@ def board_index(cells):
     return sum(c * 3**i for i, c in enumerate(cells))
 
 
+def cells_of(index):
+    """The nine cell digits of a board index: the inverse of `board_index`."""
+    return tuple(index // 3**i % 3 for i in range(9))
+
+
 def all_reachable_boards():
     """Distinct boards reachable by alternating play from the empty board (X first)."""
     seen = set()

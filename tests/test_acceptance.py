@@ -26,10 +26,10 @@ import time
 
 import pytest
 
-from rbtbench.belief import WindowShape, window_cells
+from rbtbench.belief import WindowShape
 from rbtbench.cli import step_to_json
 from rbtbench.env import MAXBELIEF, MIXTURE, EpisodeConfig, run_episodes
-from rbtbench.game import CellMark, GameStatus, cell_mark, decode_state, index_status, place_mark
+from rbtbench.game import GameStatus, cell_mark, index_status, place_mark
 from rbtbench.metrics import aggregate_by_timestep, mean_ci95
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import ARGMAX_TOL, alt_values, argmax_set, mixture_values
@@ -72,7 +72,7 @@ def exact_values(q_uniform):
     """(window, policy) -> exact expected return, for WINDOWS and the 3x3 anchor."""
     cells = {}
     for window in WINDOWS + ("3x3",):
-        placements = tuple(window_cells(p) for p in WindowShape.from_label(window).placements())
+        placements = tuple(p.cells() for p in WindowShape.from_label(window).placements())
         for policy, rule in VALUE_RULES.items():
             cells[window, policy] = oracles.exact_return(
                 placements, lambda belief: argmax_set(rule(belief, q_uniform)), "uniform"
@@ -175,7 +175,7 @@ def test_4_belief_filter_matches_bruteforce_posterior(q_uniform):
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
         observations = [
-            (window_cells(s.observation.placement), tuple(int(c) for c in s.observation.contents))
+            (s.observation.placement.cells(), s.observation.contents)
             for s in steps
         ]
         for k in range(len(steps)):
@@ -196,7 +196,7 @@ def test_5_solver_matches_naive_expectimax(q_uniform, q_minimax):
     rng = random.Random(2024)
     samples = rng.sample(sorted(q_uniform.entries), 100)
     for index in samples:
-        cells = tuple(int(c) for c in decode_state(index).cells)
+        cells = oracles.cells_of(index)
         row = q_uniform.entries[index]
         for a in range(9):
             want = oracles.expectimax_q(cells, a, "uniform") if cells[a] == 0 else -1.0
@@ -247,10 +247,8 @@ def test_7_invariant_fuzz(q_uniform):
                 assert abs(sum(step.belief.values()) - 1.0) <= 1e-9
                 assert step.belief.get(true_state, 0.0) > 0.0
                 for s in step.belief:
-                    b = decode_state(s)
-                    n_x = sum(1 for c in b.cells if c is CellMark.X)
-                    n_o = sum(1 for c in b.cells if c is CellMark.O)
-                    assert n_x == n_o == step.t
+                    cells = oracles.cells_of(s)
+                    assert cells.count(1) == cells.count(2) == step.t
                 assert step.margin >= -1e-9
                 assert 0.0 <= step.iou <= 1.0
                 beliefs_by_t.setdefault(step.t, []).append(step.belief)

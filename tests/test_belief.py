@@ -11,23 +11,21 @@ from rbtbench.belief import (
     ZeroEvidenceError,
     initial_belief,
     observation_distribution,
-    observation_likelihood,
     predict,
     update,
-    window_cells,
 )
 from rbtbench.env import EpisodeConfig, run_episodes
-from rbtbench.game import BoardState, CellMark, GameStatus, decode_state, empty_cells, index_status, place_mark
+from rbtbench.game import GameStatus, empty_cells, index_status, place_mark
 from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
 
 import oracles
 
-E, X, O = CellMark.EMPTY, CellMark.X, CellMark.O
+E, X, O = 0, 1, 2
 UNIFORM = UniformRandomOpponent()
 
 
 def board(*cells):
-    return BoardState(cells=tuple(cells))
+    return oracles.board_index(cells)
 
 
 def assert_close_beliefs(got, want, tol=1e-9):
@@ -59,7 +57,7 @@ def test_placement_must_fit():
 
 def test_window_cells_row_major():
     placement = WindowPlacement(top=1, left=1, shape=WindowShape(2, 2))
-    assert window_cells(placement) == (4, 5, 7, 8)
+    assert placement.cells() == (4, 5, 7, 8)
 
 
 def test_label_round_trip():
@@ -76,17 +74,17 @@ def test_initial_belief_is_point_mass_on_empty_board():
 
 
 def test_full_window_likelihood_matches_exactly():
-    state = board(X, E, E, E, O, E, E, E, X)
+    cells = (X, E, E, E, O, E, E, E, X)
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(3, 3))
-    obs = Observation(placement=placement, contents=state.cells)
-    assert observation_likelihood(obs, state) == 1
-    assert observation_likelihood(obs, BoardState.empty()) == 0
+    obs = Observation(placement=placement, contents=cells)
+    assert placement.observe(board(*cells)) == obs
+    assert placement.observe(0) != obs
 
 
 def test_one_cell_window_mismatch():
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
     obs = Observation(placement=placement, contents=(X,))
-    assert observation_likelihood(obs, BoardState.empty()) == 0
+    assert placement.observe(0) != obs
 
 
 def test_likelihood_depends_only_on_covered_cells():
@@ -94,7 +92,7 @@ def test_likelihood_depends_only_on_covered_cells():
     obs = Observation(placement=placement, contents=(X, E, E))
     s1 = board(X, E, E, O, E, E, E, E, E)
     s2 = board(X, E, E, E, O, E, E, E, E)
-    assert observation_likelihood(obs, s1) == observation_likelihood(obs, s2) == 1
+    assert placement.observe(s1) == placement.observe(s2) == obs
 
 
 # --- predict ------------------------------------------------------------------
@@ -103,41 +101,36 @@ def test_predict_from_point_mass_spreads_uniformly():
     out = predict(initial_belief(), 4, UNIFORM)
     assert len(out) == 8
     assert all(math.isclose(p, 1 / 8) for p in out.values())
-    assert all(decode_state(s).cells[4] is X for s in out)
+    assert all(oracles.cells_of(s)[4] == X for s in out)
 
 
 def test_predict_prunes_terminal_opponent_replies():
     # X at {0,4}, O at {2,5}: O wins by playing 8 (2-5-8), so only the
     # surviving replies stay in the support, renormalized evenly.
     start = board(X, E, O, E, X, O, E, E, E)
-    idx = sum(int(c) * 3**i for i, c in enumerate(start.cells))
-    out = predict({idx: 1.0}, 1, UNIFORM)  # X plays 1, no win
+    out = predict({start: 1.0}, 1, UNIFORM)  # X plays 1, no win
     # empty cells after X's move: 3, 6, 7, 8; reply 8 ends the game
     assert len(out) == 3
     assert all(math.isclose(p, 1 / 3) for p in out.values())
-    assert all(decode_state(s).cells[8] is not O for s in out)
+    assert all(oracles.cells_of(s)[8] != O for s in out)
 
 
 def test_predict_conditions_on_our_move_being_valid():
     s1 = board(E, E, E, E, X, E, E, E, O)  # cell 1 empty
     s2 = board(E, O, E, E, X, E, E, E, E)  # cell 1 holds O
-    belief = {idx(s1): 0.5, idx(s2): 0.5}
+    belief = {s1: 0.5, s2: 0.5}
     out = predict(belief, 1, UNIFORM)
     # only s1 survives stage 1, so every successor has X at 1 and O at 8
     for s in out:
-        b = decode_state(s)
-        assert b.cells[1] is X
-        assert b.cells[8] is O
-
-
-def idx(b):
-    return sum(int(c) * 3**i for i, c in enumerate(b.cells))
+        cells = oracles.cells_of(s)
+        assert cells[1] == X
+        assert cells[8] == O
 
 
 def test_predict_empty_support_is_an_error():
     s = board(E, O, E, E, X, E, E, E, E)
     with pytest.raises(EmptySupportError):
-        predict({idx(s): 1.0}, 1, UNIFORM)  # cell 1 occupied in every state
+        predict({s: 1.0}, 1, UNIFORM)  # cell 1 occupied in every state
 
 
 # --- update -------------------------------------------------------------------
@@ -152,10 +145,10 @@ def test_update_is_identity_when_all_states_agree_under_the_window():
 def test_update_collapses_to_the_matching_state():
     s1 = board(O, E, E, E, X, E, E, E, E)
     s2 = board(E, O, E, E, X, E, E, E, E)
-    belief = {idx(s1): 0.5, idx(s2): 0.5}
+    belief = {s1: 0.5, s2: 0.5}
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
     obs = Observation(placement=placement, contents=(O,))
-    assert update(belief, obs) == {idx(s1): 1.0}
+    assert update(belief, obs) == {s1: 1.0}
 
 
 def test_full_window_collapses_any_belief():
@@ -190,7 +183,7 @@ def test_observation_distribution_sums_to_one():
 def test_observation_distribution_matches_direct_enumeration():
     s1 = board(E, E, E, E, X, E, E, E, O)
     s2 = board(O, E, E, E, X, E, E, E, E)
-    belief = {idx(s1): 0.75, idx(s2): 0.25}
+    belief = {s1: 0.75, s2: 0.25}
     shape = WindowShape(1, 1)
     got = observation_distribution(belief, 1, UNIFORM, shape)
 
@@ -198,8 +191,8 @@ def test_observation_distribution_matches_direct_enumeration():
     expected = {}
     for placement in shape.placements():
         for s, p in predicted.items():
-            cells = tuple(int(c) for c in decode_state(s).cells)
-            contents = tuple(CellMark(cells[c]) for c in window_cells(placement))
+            cells = oracles.cells_of(s)
+            contents = tuple(cells[c] for c in placement.cells())
             key = Observation(placement=placement, contents=contents)
             expected[key] = expected.get(key, 0.0) + p / 9
     assert set(got) == set(expected)
@@ -216,7 +209,7 @@ def run_history_check(opponent, kind, shape, seeds, q):
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
         observations = [
-            (window_cells(s.observation.placement), tuple(int(c) for c in s.observation.contents))
+            (s.observation.placement.cells(), s.observation.contents)
             for s in steps
         ]
         for k in range(len(steps)):

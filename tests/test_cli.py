@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import pytest
+
 from rbtbench.belief import WindowShape
 from rbtbench.cli import main, step_from_json, step_to_json
 from rbtbench.env import EpisodeConfig, run_episodes
@@ -257,3 +259,46 @@ def test_qtable_with_a_non_numeric_value_fails_in_one_line(q_uniform_path, tmp_p
     assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
     err = one_line_error(capsys)
     assert "state 0: action values must be numbers" in err
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("opponent", MISSING, 'no "opponent"', id="opponent-missing"),
+    pytest.param("opponent", {"eps_minimax": None}, "eps_minimax must be a number, got None", id="eps-null"),
+    pytest.param("opponent", {"eps_minimax": "0.5"}, "eps_minimax must be a number", id="eps-string"),
+    pytest.param("opponent", {"eps_minimax": True}, "eps_minimax must be a number", id="eps-boolean"),
+    pytest.param("opponent", {"eps_minimax": 1.5}, "eps must be in [0, 1]", id="eps-out-of-range"),
+    pytest.param("opponent", {"eps": 0.5}, "unknown opponent descriptor", id="opponent-unknown"),
+    pytest.param("gamma", MISSING, '"gamma" must be 1.0 (values are undiscounted), got nothing', id="gamma-missing"),
+    pytest.param("gamma", None, "got null", id="gamma-null"),
+    pytest.param("gamma", [1.0], "got [1.0]", id="gamma-array"),
+    pytest.param("gamma", True, "got true", id="gamma-boolean"),
+    pytest.param("gamma", 0.5, "got 0.5", id="gamma-half"),
+])
+def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uniform_path, tmp_path, capsys):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    if value is MISSING:
+        del payload[field]
+    else:
+        payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
+    err = one_line_error(capsys)
+    assert message in err
+
+
+@pytest.mark.parametrize("contents", [[3, 0], [0, -1], [True, 0], [0, 1.0], [0], [0, 0, 0]])
+def test_trace_step_with_bad_observation_contents_is_rejected(contents):
+    obj = {
+        "episode": 0, "t": 0,
+        "observation": {"top": 0, "left": 0, "height": 2, "width": 1, "contents": contents},
+        "belief": {"0": 1.0}, "belief_support_size": 1, "a_mix": [0], "a_max": [0],
+        "iou": 1.0, "margin": 0.0, "chosen_action": 0, "reward": 0.0,
+    }
+    with pytest.raises(ValueError):
+        step_from_json(obj)
+    obj["observation"]["contents"] = [0, 1]
+    assert step_from_json(obj)[1].observation.contents == (0, 1)

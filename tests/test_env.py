@@ -4,23 +4,24 @@ from collections import Counter
 
 import pytest
 
-from rbtbench.belief import WindowPlacement, WindowShape, observation_likelihood
+from rbtbench.belief import WindowPlacement, WindowShape
 from rbtbench.env import (
     MAXBELIEF,
     MIXTURE,
     RANDOM,
     EpisodeConfig,
     Outcome,
-    make_observation,
     run_episode,
     run_episodes,
     sample_window,
 )
-from rbtbench.game import BoardState, CellMark, cell_mark, decode_state
-from rbtbench.metrics import iou, value_margin
-from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
-from rbtbench.policy import act_alt, act_mixture, mixture_values
+from rbtbench.game import cell_mark
+from rbtbench.metrics import iou
+from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent, reply_distribution
+from rbtbench.policy import alt_values, argmax_set, mean_value, mixture_values
 from rbtbench.solver import QTable
+
+import oracles
 
 UNIFORM = UniformRandomOpponent()
 
@@ -52,24 +53,18 @@ def test_sample_window_2x2_has_four_positions():
 
 
 def test_make_observation_reads_the_true_board():
-    empty = BoardState.empty()
     placement = WindowPlacement(top=0, left=1, shape=WindowShape(2, 2))
-    obs = make_observation(empty, placement)
-    assert obs.contents == (CellMark.EMPTY,) * 4
+    obs = placement.observe(0)
+    assert obs.contents == (0,) * 4
 
     full_window = WindowPlacement(top=0, left=0, shape=WindowShape(3, 3))
-    state = decode_state(81)
-    obs = make_observation(state, full_window)
-    assert obs.contents == state.cells
-    assert observation_likelihood(obs, state) == 1
+    obs = full_window.observe(81)
+    assert obs.contents == oracles.cells_of(81)
 
     # a window over occupied cells reads the marks back in row-major order
-    midgame = BoardState(cells=(CellMark.O, CellMark.EMPTY, CellMark.EMPTY,
-                                CellMark.EMPTY, CellMark.X, CellMark.EMPTY,
-                                CellMark.EMPTY, CellMark.EMPTY, CellMark.EMPTY))
-    obs = make_observation(midgame, WindowPlacement(top=0, left=0, shape=WindowShape(2, 2)))
-    assert obs.contents == (CellMark.O, CellMark.EMPTY, CellMark.EMPTY, CellMark.X)
-    assert observation_likelihood(obs, midgame) == 1
+    midgame = oracles.board_index((2, 0, 0, 0, 1, 0, 0, 0, 0))
+    obs = WindowPlacement(top=0, left=0, shape=WindowShape(2, 2)).observe(midgame)
+    assert obs.contents == (2, 0, 0, 1)
 
 
 def test_episode_replay_is_bit_identical(q_uniform):
@@ -111,10 +106,8 @@ def test_support_parity_tracks_the_move_count(q_uniform):
     for result in run_episodes(config, q_uniform, 60):
         for step in result.steps:
             for s in step.belief:
-                b = decode_state(s)
-                n_x = sum(1 for c in b.cells if c is CellMark.X)
-                n_o = sum(1 for c in b.cells if c is CellMark.O)
-                assert n_x == n_o == step.t
+                cells = oracles.cells_of(s)
+                assert cells.count(1) == cells.count(2) == step.t
 
 
 def test_full_observability_collapses_to_the_truth(q_uniform):
@@ -162,17 +155,11 @@ def test_mixture_never_plays_a_surely_occupied_cell(q_uniform):
 
 def test_reply_sampling_follows_the_distribution():
     from rbtbench.env import _sample_reply
-    from rbtbench.game import encode_state
 
     # O to move on a mid-game board; eps-minimax puts uneven mass on replies
-    b = BoardState(cells=(CellMark.X, CellMark.EMPTY, CellMark.EMPTY,
-                          CellMark.EMPTY, CellMark.O, CellMark.EMPTY,
-                          CellMark.EMPTY, CellMark.X, CellMark.EMPTY))
+    index = oracles.board_index((1, 0, 0, 0, 2, 0, 0, 1, 0))
     model = EpsilonMinimaxOpponent(0.3)
-    index = encode_state(b)
-    from rbtbench.opponents import opponent_distribution
-
-    want = opponent_distribution(model, b)
+    want = dict(reply_distribution(model, index))
     rng = random.Random(5)
     n = 20_000
     counts = Counter(_sample_reply(model, index, rng) for _ in range(n))
@@ -199,7 +186,7 @@ def test_mismatched_belief_model_still_tracks_the_truth(q_uniform):
 
 def fresh_copy(q):
     """Same entries, empty decision cache."""
-    return QTable(opponent=q.opponent, entries=q.entries, gamma=q.gamma)
+    return QTable(opponent=q.opponent, entries=q.entries)
 
 
 def cache_configs():
@@ -245,12 +232,14 @@ def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
 
 
 def test_step_decisions_match_the_policy_functions(q_uniform):
-    rng = random.Random(0)
+    # each step's memoized decision against a cold recomputation from the policy functions
     for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(3, 1)):
         config = EpisodeConfig(shape=shape, opponent=UNIFORM, seed=410)
         for result in run_episodes(config, q_uniform, 150):
             for step in result.steps:
-                assert step.a_mix == act_mixture(step.belief, q_uniform, rng)[1]
-                assert step.a_max == act_alt(step.belief, q_uniform, rng)[1]
-                assert step.margin == value_margin(step.belief, q_uniform)  # exact, not close
+                values = mixture_values(step.belief, q_uniform)
+                a_max = argmax_set(alt_values(step.belief, q_uniform))
+                assert step.a_mix == argmax_set(values)
+                assert step.a_max == a_max
+                assert step.margin == max(values) - mean_value(values, a_max)  # exact, not close
                 assert step.iou == iou(step.a_mix, step.a_max)

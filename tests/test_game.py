@@ -3,112 +3,83 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.game import (
-    BoardState,
-    CellMark,
     GameStatus,
     InvalidStateError,
-    OccupiedCellError,
-    apply_action,
-    decode_state,
-    encode_state,
+    cell_mark,
+    empty_cells,
     enumerate_reachable_states,
     index_status,
     index_to_move,
-    status,
-    valid_actions,
+    place_mark,
 )
 
 import oracles
 
-E, X, O = CellMark.EMPTY, CellMark.X, CellMark.O
+E, X, O = 0, 1, 2
 
 
 def board(*cells):
-    return BoardState(cells=tuple(cells))
+    return oracles.board_index(cells)
 
 
 def test_encode_examples():
-    assert encode_state(BoardState.empty()) == 0
-    assert encode_state(board(X, E, E, E, E, E, E, E, E)) == 1
-    assert encode_state(board(E, E, E, E, X, E, E, E, E)) == 81
+    assert place_mark(0, 0, X) == board(X, E, E, E, E, E, E, E, E) == 1
+    assert place_mark(0, 4, X) == board(E, E, E, E, X, E, E, E, E) == 81
 
 
 def test_decode_examples():
-    assert decode_state(0) == BoardState.empty()
-    assert decode_state(81) == board(E, E, E, E, X, E, E, E, E)
-    with pytest.raises(InvalidStateError):
-        decode_state(2)  # O at cell 0 alone: O cannot lead
-
-
-def test_decode_rejects_out_of_range():
-    with pytest.raises(InvalidStateError):
-        decode_state(-1)
-    with pytest.raises(InvalidStateError):
-        decode_state(3**9)
+    assert tuple(cell_mark(0, c) for c in range(9)) == (E,) * 9
+    assert tuple(cell_mark(81, c) for c in range(9)) == (E, E, E, E, X, E, E, E, E)
 
 
 def test_board_invariant_rejects_double_lines():
     with pytest.raises(InvalidStateError):
-        board(X, X, X, O, O, O, E, E, E)
-
-
-def test_board_invariant_rejects_bad_parity():
-    with pytest.raises(InvalidStateError):
-        board(X, X, E, E, E, E, E, E, E)
+        index_status(board(X, X, X, O, O, O, E, E, E))
 
 
 def test_status_examples():
-    assert status(BoardState.empty()) is GameStatus.IN_PROGRESS
-    assert status(board(X, X, X, O, O, E, E, E, E)) is GameStatus.X_WINS
+    assert index_status(0) is GameStatus.IN_PROGRESS
+    assert index_status(board(X, X, X, O, O, E, E, E, E)) is GameStatus.X_WINS
     # full board with no line, checked against the oracle's line scan
-    drawn = board(X, X, O, O, O, X, X, X, O)
-    cells = tuple(int(c) for c in drawn.cells)
-    assert oracles.winner(cells) == 0 and oracles.is_full(cells)
-    assert status(drawn) is GameStatus.DRAW
+    drawn = (X, X, O, O, O, X, X, X, O)
+    assert oracles.winner(drawn) == 0 and oracles.is_full(drawn)
+    assert index_status(board(*drawn)) is GameStatus.DRAW
 
 
 def test_status_matches_oracle_on_every_reachable_board():
     for index in enumerate_reachable_states():
-        b = decode_state(index)
-        cells = tuple(int(c) for c in b.cells)
+        cells = oracles.cells_of(index)
         w = oracles.winner(cells)
         expected = {
             1: GameStatus.X_WINS,
             2: GameStatus.O_WINS,
         }.get(w, GameStatus.DRAW if oracles.is_full(cells) else GameStatus.IN_PROGRESS)
-        assert status(b) is expected
         assert index_status(index) is expected
 
 
 def test_valid_actions_examples():
-    assert valid_actions(BoardState.empty()) == tuple(range(9))
-    assert valid_actions(board(X, X, O, O, O, X, X, X, O)) == ()
-    assert valid_actions(board(E, E, E, E, X, E, E, E, E)) == (0, 1, 2, 3, 5, 6, 7, 8)
+    assert empty_cells(0) == tuple(range(9))
+    assert empty_cells(board(X, X, O, O, O, X, X, X, O)) == ()
+    assert empty_cells(board(E, E, E, E, X, E, E, E, E)) == (0, 1, 2, 3, 5, 6, 7, 8)
 
 
 def test_apply_action_examples():
-    b = apply_action(BoardState.empty(), 4, X)
+    b = place_mark(0, 4, X)
     assert b == board(E, E, E, E, X, E, E, E, E)
-    with pytest.raises(OccupiedCellError):
-        apply_action(b, 4, O)
-    b2 = apply_action(b, 0, O)
+    assert 4 not in empty_cells(b)  # a second mark on 4 is not a legal move
+    b2 = place_mark(b, 0, O)
     assert b2 == board(O, E, E, E, X, E, E, E, E)
 
 
 def test_apply_action_changes_only_the_target():
     b = board(X, E, O, E, X, E, E, E, E)
-    after = apply_action(b, 7, O)
+    after = place_mark(b, 7, O)
     for i in range(9):
         if i == 7:
-            assert after.cells[i] is O
+            assert cell_mark(after, i) == O
         else:
-            assert after.cells[i] is b.cells[i]
-    assert after.move_count() == b.move_count() + 1
-
-
-def test_apply_action_rejects_empty_player():
-    with pytest.raises(ValueError):
-        apply_action(BoardState.empty(), 0, E)
+            assert cell_mark(after, i) == cell_mark(b, i)
+    assert len(empty_cells(after)) == len(empty_cells(b)) - 1
 
 
 def test_enumerate_reachable_states_matches_bruteforce():
@@ -121,10 +92,8 @@ def test_enumerate_reachable_states_matches_bruteforce():
 
 def test_reachable_states_respect_parity():
     for index in enumerate_reachable_states():
-        b = decode_state(index)
-        n_x = sum(1 for c in b.cells if c is X)
-        n_o = sum(1 for c in b.cells if c is O)
-        assert n_x - n_o in (0, 1)
+        cells = oracles.cells_of(index)
+        assert cells.count(X) - cells.count(O) in (0, 1)
 
 
 def test_reachable_states_closed_under_legal_play():
@@ -132,12 +101,11 @@ def test_reachable_states_closed_under_legal_play():
     for index in sorted(reachable)[::7]:
         if index_status(index) is not GameStatus.IN_PROGRESS:
             continue
-        b = decode_state(index)
-        mover = X if index_to_move(index) == 1 else O
-        for a in valid_actions(b):
-            assert encode_state(apply_action(b, a, mover)) in reachable
+        mover = index_to_move(index)
+        for a in empty_cells(index):
+            assert place_mark(index, a, mover) in reachable
 
 
 @given(st.sampled_from(sorted(enumerate_reachable_states())))
 def test_round_trip_on_reachable_boards(index):
-    assert encode_state(decode_state(index)) == index
+    assert oracles.board_index(tuple(cell_mark(index, c) for c in range(9))) == index

@@ -47,6 +47,14 @@ SWEEP = {
     "returns.svg": "88281f1a79ff0781823671a254c7b6df4f039da18795065eeb7bdbb5b9094e88",
 }
 TRACE = "2c8d710e04e259f60f1698e53fa18317598b58feae6c21a3be96e8ceeb4d00d5"
+# replay stdout on the uniform table, recorded before board glyphs were
+# read from cell digits instead of mark objects
+REPLAY = {
+    ("--window", "2x1", "--seed", "3", "--verbose"):
+        "8d0e2d715d1f97b113d68d9e90f6752f92f6ec57f81c7ffb0cde0cb9f14e1a37",
+    ("--window", "2x2", "--seed", "7"):
+        "ccf1faf8945328fcaefdc8be386aa62ba73ac9b0728c56c3c7936dd87e803093",
+}
 
 
 def sha256(path) -> str:
@@ -81,3 +89,11 @@ def test_run_trace_matches_pinned_digest(q_uniform_path, tmp_path, capsys):
                  "--seed", "42", "--trace", str(trace)]) == 0
     capsys.readouterr()
     assert sha256(trace) == TRACE
+
+
+@pytest.mark.parametrize("flags", REPLAY)
+def test_replay_output_matches_pinned_digest(flags, q_uniform_path, capsys):
+    capsys.readouterr()
+    assert main(["replay", "--q", q_uniform_path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPLAY[flags]

@@ -5,13 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.belief import WindowShape, initial_belief
-from rbtbench.env import EpisodeConfig, run_episodes
+from rbtbench.env import EpisodeConfig, decide, run_episodes
 from rbtbench.metrics import (
     InsufficientSamplesError,
     aggregate_by_timestep,
     iou,
     mean_ci95,
-    value_margin,
 )
 from rbtbench.opponents import UniformRandomOpponent
 
@@ -37,21 +36,21 @@ def test_iou_properties(a, b):
     assert (v == 0.0) == (not a & b)
 
 
-def test_value_margin_zero_on_point_mass(q_uniform):
-    state = sorted(q_uniform.entries)[500]
-    assert abs(value_margin({state: 1.0}, q_uniform)) <= 1e-12
+def test_value_margin_zero_on_point_mass(q_uniform_cold):
+    state = sorted(q_uniform_cold.entries)[500]
+    assert abs(decide({state: 1.0}, q_uniform_cold).margin) <= 1e-12
 
 
-def test_value_margin_zero_on_the_initial_belief(q_uniform):
-    assert value_margin(initial_belief(), q_uniform) == 0.0
+def test_value_margin_zero_on_the_initial_belief(q_uniform_cold):
+    assert decide(initial_belief(), q_uniform_cold).margin == 0.0
 
 
-def test_value_margin_never_meaningfully_negative(q_uniform):
+def test_value_margin_never_meaningfully_negative(q_uniform, q_uniform_cold):
     config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=23)
     for result in run_episodes(config, q_uniform, 100):
         for step in result.steps:
             assert step.margin >= -1e-9
-            assert value_margin(step.belief, q_uniform) >= -1e-9
+            assert decide(step.belief, q_uniform_cold).margin >= -1e-9
 
 
 def test_mean_ci95_zero_variance():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rbtbench.game import BoardState, CellMark, decode_state, enumerate_reachable_states, index_status, index_to_move, GameStatus, valid_actions
+from rbtbench.game import empty_cells, enumerate_reachable_states, index_status, index_to_move, GameStatus
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
@@ -10,17 +10,21 @@ from rbtbench.opponents import (
     UniformRandomOpponent,
     descriptor,
     from_descriptor,
-    opponent_distribution,
     reply_distribution,
 )
 
 import oracles
 
-E, X, O = CellMark.EMPTY, CellMark.X, CellMark.O
+E, X, O = 0, 1, 2
 
 
 def board(*cells):
-    return BoardState(cells=tuple(cells))
+    return oracles.board_index(cells)
+
+
+def replies(model, index):
+    """Reply probabilities on an O-to-move board, as a dict by cell."""
+    return dict(reply_distribution(model, index))
 
 
 def o_to_move_states(limit=None):
@@ -34,7 +38,7 @@ def o_to_move_states(limit=None):
 
 def test_uniform_on_center_opening():
     b = board(E, E, E, E, X, E, E, E, E)
-    dist = opponent_distribution(UniformRandomOpponent(), b)
+    dist = replies(UniformRandomOpponent(), b)
     assert set(dist) == {0, 1, 2, 3, 5, 6, 7, 8}
     assert all(math.isclose(p, 1 / 8) for p in dist.values())
 
@@ -42,42 +46,38 @@ def test_uniform_on_center_opening():
 def test_uniform_on_minimal_reply_set():
     # O to move implies an even number of empty cells, so two is the minimum
     b = board(X, X, O, O, O, X, X, E, E)
-    dist = opponent_distribution(UniformRandomOpponent(), b)
+    dist = replies(UniformRandomOpponent(), b)
     assert dist == {7: 0.5, 8: 0.5}
 
 
 def test_minimax_takes_an_immediate_win():
     # O wins at cell 2; winning is uniquely optimal
     b = board(O, O, E, X, X, E, X, E, E)
-    dist = opponent_distribution(MinimaxOpponent(), b)
+    dist = replies(MinimaxOpponent(), b)
     assert dist == {2: 1.0}
 
 
 def test_minimax_blocks_a_threat():
     # X threatens 0-1-2; every non-blocking O reply loses
     b = board(X, X, E, E, O, E, E, O, X)
-    dist = opponent_distribution(MinimaxOpponent(), b)
+    dist = replies(MinimaxOpponent(), b)
     assert set(dist) == {2}
 
 
 def test_minimax_splits_ties_uniformly():
     for index in o_to_move_states()[::17]:
-        b = decode_state(index)
-        dist = opponent_distribution(MinimaxOpponent(), b)
+        dist = replies(MinimaxOpponent(), index)
         probs = set(dist.values())
         assert len(probs) == 1
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
-        assert set(dist) <= set(valid_actions(b))
+        assert set(dist) <= set(empty_cells(index))
 
 
 def test_eps_zero_equals_minimax_and_eps_one_equals_uniform():
     for index in o_to_move_states()[::29]:
-        b = decode_state(index)
-        assert opponent_distribution(EpsilonMinimaxOpponent(0.0), b) == opponent_distribution(
-            MinimaxOpponent(), b
-        )
-        got = opponent_distribution(EpsilonMinimaxOpponent(1.0), b)
-        want = opponent_distribution(UniformRandomOpponent(), b)
+        assert replies(EpsilonMinimaxOpponent(0.0), index) == replies(MinimaxOpponent(), index)
+        got = replies(EpsilonMinimaxOpponent(1.0), index)
+        want = replies(UniformRandomOpponent(), index)
         assert set(got) == set(want)
         assert all(math.isclose(got[a], want[a], abs_tol=1e-12) for a in got)
 
@@ -85,9 +85,8 @@ def test_eps_zero_equals_minimax_and_eps_one_equals_uniform():
 @pytest.mark.parametrize("eps", [0.25, 0.5])
 def test_eps_mixture_keeps_full_support_with_floor(eps):
     for index in o_to_move_states()[::23]:
-        b = decode_state(index)
-        dist = opponent_distribution(EpsilonMinimaxOpponent(eps), b)
-        legal = valid_actions(b)
+        dist = replies(EpsilonMinimaxOpponent(eps), index)
+        legal = empty_cells(index)
         assert set(dist) == set(legal)
         floor = eps / len(legal)
         assert all(p >= floor - 1e-12 for p in dist.values())
@@ -102,19 +101,18 @@ def test_eps_out_of_range_rejected():
 def test_terminal_board_rejected():
     won = board(X, X, X, O, O, E, E, E, E)
     with pytest.raises(TerminalStateError):
-        opponent_distribution(UniformRandomOpponent(), won)
+        replies(UniformRandomOpponent(), won)
 
 
 def test_x_to_move_rejected():
-    with pytest.raises(ValueError):
-        opponent_distribution(UniformRandomOpponent(), BoardState.empty())
+    with pytest.raises(ValueError, match="X to move"):
+        reply_distribution(UniformRandomOpponent(), 0)
 
 
 def test_minimax_agrees_with_oracle_reply_sets():
     for index in o_to_move_states()[::13]:
-        b = decode_state(index)
-        cells = tuple(int(c) for c in b.cells)
-        assert opponent_distribution(MinimaxOpponent(), b) == dict(
+        cells = oracles.cells_of(index)
+        assert replies(MinimaxOpponent(), index) == dict(
             oracles.reply_probs(cells, "minimax")
         )
 
@@ -125,7 +123,7 @@ def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
     # Q-table digests do not cover
     model = EpsilonMinimaxOpponent(eps)
     for index in o_to_move_states():
-        cells = tuple(int(c) for c in decode_state(index).cells)
+        cells = oracles.cells_of(index)
         assert reply_distribution(model, index) == oracles.eps_minimax_reply_tuple(cells, eps)
 
 

@@ -7,18 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.belief import WindowShape, initial_belief, predict
-from rbtbench.env import EpisodeConfig, run_episodes
-from rbtbench.game import CellMark, GameStatus, cell_mark, decode_state, index_status, index_to_move, enumerate_reachable_states
+from rbtbench.env import EpisodeConfig, decide, run_episodes
+from rbtbench.game import GameStatus, cell_mark, index_status, index_to_move, enumerate_reachable_states
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import (
     MissingQEntryError,
-    act_alt,
-    act_mixture,
     alt_values,
     argmax_set,
     max_belief_states,
     mixture_values,
 )
+from rbtbench.solver import QTable
+
+import oracles
 
 UNIFORM = UniformRandomOpponent()
 
@@ -29,9 +30,9 @@ def x_states_by_own_marks():
     for index in sorted(enumerate_reachable_states()):
         if index_status(index) is not GameStatus.IN_PROGRESS or index_to_move(index) != 1:
             continue
-        b = decode_state(index)
-        xs = frozenset(i for i, c in enumerate(b.cells) if c is CellMark.X)
-        groups[(b.move_count(), xs)].append(index)
+        cells = oracles.cells_of(index)
+        xs = frozenset(i for i, c in enumerate(cells) if c == 1)
+        groups[(9 - cells.count(0), xs)].append(index)
     return groups
 
 
@@ -124,37 +125,36 @@ def test_alt_values_uses_only_the_modal_state(q_uniform):
     assert alt_values(belief, q_uniform) == q_uniform.entries[s1]
 
 
-def test_act_mixture_takes_the_unique_winning_move(q_uniform):
+def test_act_mixture_takes_the_unique_winning_move(q_uniform_cold):
     # X at {0, 1}, O at {3, 4}: only cell 2 wins immediately
     state = 1 + 3 + 2 * 27 + 2 * 81
     assert index_status(state) is GameStatus.IN_PROGRESS
-    action, a_mix, values = act_mixture({state: 1.0}, q_uniform, random.Random(0))
-    assert a_mix == frozenset({2})
-    assert action == 2
-    assert values[2] == 1.0
+    decision = decide({state: 1.0}, q_uniform_cold)
+    assert decision.a_mix == frozenset({2})
+    assert decision.mix_choices == (2,)
+    assert mixture_values({state: 1.0}, q_uniform_cold)[2] == 1.0
 
 
-def test_act_mixture_on_the_symmetric_opening(q_uniform):
-    action, a_mix, _ = act_mixture(initial_belief(), q_uniform, random.Random(3))
-    assert a_mix == frozenset({0, 2, 6, 8})  # corners beat center against a random opponent
-    assert action in a_mix
+def test_act_mixture_on_the_symmetric_opening(q_uniform_cold):
+    decision = decide(initial_belief(), q_uniform_cold)
+    assert decision.a_mix == frozenset({0, 2, 6, 8})  # corners beat center against a random opponent
+    assert random.Random(3).choice(decision.mix_choices) in decision.a_mix
 
 
-def test_acting_is_deterministic_under_a_fixed_seed(q_uniform):
+def test_acting_is_deterministic_under_a_fixed_seed(q_uniform, q_uniform_cold):
     belief = update_free_belief(q_uniform)
-    first = act_mixture(belief, q_uniform, random.Random(99))
-    second = act_mixture(belief, q_uniform, random.Random(99))
-    assert first == second
-    assert act_alt(belief, q_uniform, random.Random(99)) == act_alt(
-        belief, q_uniform, random.Random(99)
-    )
+    first = decide(belief, q_uniform_cold)
+    second = decide(belief, QTable(opponent=q_uniform.opponent, entries=q_uniform.entries))
+    assert first[:6] == second[:6]  # every field but the prediction cache
+    for choices in ("mix_choices", "max_choices"):
+        picks = [random.Random(99).choice(getattr(d, choices)) for d in (first, second)]
+        assert picks[0] == picks[1]
 
 
-def test_act_alt_matches_act_mixture_on_point_mass(q_uniform):
-    state = sorted(q_uniform.entries)[250]
-    _, a_mix, _ = act_mixture({state: 1.0}, q_uniform, random.Random(1))
-    _, a_max = act_alt({state: 1.0}, q_uniform, random.Random(1))
-    assert a_mix == a_max
+def test_act_alt_matches_act_mixture_on_point_mass(q_uniform_cold):
+    state = sorted(q_uniform_cold.entries)[250]
+    decision = decide({state: 1.0}, q_uniform_cold)
+    assert decision.a_mix == decision.a_max
 
 
 def test_act_alt_can_prefer_a_cell_occupied_off_the_modal_state(q_uniform):
