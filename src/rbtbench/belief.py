@@ -113,7 +113,11 @@ class WindowPlacement:
 
 @dataclass(frozen=True)
 class Observation:
-    """A window read: the cell digits (0 empty / 1 X / 2 O) in row-major window order."""
+    """A window read: the cell digits (0 empty / 1 X / 2 O) in row-major window order.
+
+    ``key`` is an int that identifies the observation; the episode loop keys
+    its belief-transition edges on it.
+    """
 
     placement: WindowPlacement
     contents: tuple[int, ...]
@@ -125,6 +129,13 @@ class Observation:
         if any(type(c) is not int or not 0 <= c <= 2 for c in self.contents):  # no bools or floats
             raise ValueError(f"window contents must be cell digits 0, 1 or 2, got {list(self.contents)}")
         object.__setattr__(self, "contents", tuple(self.contents))
+        # The board as seen through the window, in base 4 with digit 3 on every
+        # cell outside it: equal exactly when the observations are equal, and an
+        # int, so keying on it calls no dataclass __hash__.  Not a field.
+        digits = [3] * 9
+        for cell, c in zip(self.placement.cells(), self.contents):
+            digits[cell] = c
+        object.__setattr__(self, "key", sum(d * 4**i for i, d in enumerate(digits)))
 
 
 def initial_belief() -> Belief:

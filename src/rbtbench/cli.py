@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, TextIO
 
 from . import __version__
-from .belief import Observation, WindowPlacement, WindowShape
+from .belief import Observation, WindowShape
 from .env import (
     MAXBELIEF,
     MIXTURE,
@@ -139,27 +139,6 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
         "chosen_action": step.chosen_action,
         "reward": step.reward,
     }
-
-
-def step_from_json(obj: dict) -> tuple[int, StepRecord]:
-    o = obj["observation"]
-    placement = WindowPlacement(
-        top=o["top"], left=o["left"], shape=WindowShape(height=o["height"], width=o["width"])
-    )
-    observation = Observation(placement=placement, contents=o["contents"])
-    step = StepRecord(
-        t=obj["t"],
-        observation=observation,
-        belief={int(s): p for s, p in obj["belief"].items()},
-        belief_support_size=obj["belief_support_size"],
-        a_mix=frozenset(obj["a_mix"]),
-        a_max=frozenset(obj["a_max"]),
-        iou=obj["iou"],
-        margin=obj["margin"],
-        chosen_action=obj["chosen_action"],
-        reward=obj["reward"],
-    )
-    return obj["episode"], step
 
 
 def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:

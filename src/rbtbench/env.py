@@ -12,9 +12,13 @@ identical configs replay bit-identically.
 
 Both policies act on one ``decide(belief, q)``.  A decision is a pure
 function of the belief and the Q-table, and beliefs repeat across episodes,
-so ``decide`` keeps one per belief in the table's private cache, with the
-beliefs predicted from it.  The cache changes no result: a cold and a warm
-table give equal episodes.
+so each table caches a belief-transition graph in its private cache: a node
+holds a prior belief and, per observation key, the posterior and its
+decision; a decision holds, per (action, opponent model), the node of the
+predicted prior.  An episode step walks one edge, and only an edge taken for
+the first time runs the filter (``update``, then ``decide``, which keeps one
+decision per posterior belief).  The cache changes no result: a cold and a
+warm table give equal episodes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .belief import (
 )
 from .game import Action, GameStatus, cell_mark, index_status, place_mark
 from .metrics import iou
-from .opponents import OpponentModel, reply_distribution
+from .opponents import OpponentModel, covers_every_reply, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
 from .solver import QTable
 
@@ -65,6 +69,14 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        model = self.belief_opponent
+        if model is not None and model != self.opponent and not covers_every_reply(model):
+            # the filter would rule out a reply the opponent can play, and fail mid-run
+            raise ValueError(
+                f"belief_opponent {model!r} gives some legal reply zero probability; it must equal "
+                f"the opponent ({self.opponent!r}) or give every reply positive probability "
+                "(uniform, or eps-minimax with eps > 0)"
+            )
 
 
 @dataclass(slots=True)
@@ -109,12 +121,17 @@ def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
     return pairs[-1][0]
 
 
+# A node of the belief-transition graph: a prior belief, and the edges out of
+# it, observation key -> (posterior, Decision).
+Node = tuple[Belief, dict]
+
+
 class Decision(NamedTuple):
     """What both policies make of one posterior belief, and what follows from it.
 
     ``decide`` keeps one per belief in ``QTable._decisions``.  ``predictions``
-    holds the beliefs predicted from this one, keyed by (action, opponent
-    model); they are never handed out, only fed to ``update``.
+    maps (action, opponent model) to the graph node of the prior predicted
+    from this belief.  Cached beliefs are never handed out, only copied.
     """
 
     a_mix: ActionSet
@@ -123,7 +140,7 @@ class Decision(NamedTuple):
     margin: float
     mix_choices: tuple[Action, ...]  # sorted(a_mix), the tie-break draws from it
     max_choices: tuple[Action, ...]  # sorted(a_max)
-    predictions: dict
+    predictions: dict[tuple[Action, OpponentModel], Node]
 
 
 @lru_cache(maxsize=None)
@@ -156,25 +173,22 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     belief_opponent = config.belief_opponent or config.opponent
     board = 0
-    belief = initial_belief()
-    decision: Optional[Decision] = None
-    last_action: Optional[Action] = None
+    node = q._decisions.get(None)  # the root: no decision is keyed None
+    if node is None:
+        node = q._decisions[None] = (initial_belief(), {})
     steps: list[StepRecord] = []
     true_states: list[int] = []
 
     for t in range(5):  # X can place at most five marks
         placement = sample_window(config.shape, rng)
         obs = placement.observe(board)
-        if last_action is not None:
-            key = (last_action, belief_opponent)
-            predicted = decision.predictions.get(key)
-            if predicted is None:
-                predicted = decision.predictions[key] = predict(belief, last_action, belief_opponent)
-            belief = predicted
-        belief = update(belief, obs)
+        prior, posteriors = node
+        edge = posteriors.get(obs.key)
+        if edge is None:
+            posterior = update(prior, obs)
+            edge = posteriors[obs.key] = (posterior, decide(posterior, q))
+        belief, decision = edge
         true_states.append(board)
-
-        decision = decide(belief, q)
 
         if config.policy == MIXTURE:
             action = rng.choice(decision.mix_choices)
@@ -206,7 +220,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             StepRecord(
                 t=t,
                 observation=obs,
-                belief=belief,
+                belief=dict(belief),  # the cached posterior stays private
                 belief_support_size=len(belief),
                 a_mix=decision.a_mix,
                 a_max=decision.a_max,
@@ -218,7 +232,10 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         )
         if outcome is not None:
             return EpisodeResult(steps=steps, total_return=reward, outcome=outcome, true_states=true_states)
-        last_action = action
+        key = (action, belief_opponent)
+        node = decision.predictions.get(key)
+        if node is None:
+            node = decision.predictions[key] = (predict(belief, action, belief_opponent), {})
 
     raise AssertionError("episode failed to terminate within five agent moves")
 

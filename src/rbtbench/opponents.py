@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import nextafter
 from typing import Union
 
-from .game import GameStatus, empty_cells, index_status, index_to_move, place_mark
+from .game import GameStatus, empty_cells, enumerate_reachable_states, index_status, index_to_move, place_mark
 
 
 class TerminalStateError(ValueError):
@@ -83,12 +84,23 @@ class EpsilonMinimaxOpponent:
         share = 1.0 - self.eps
         best = dict(_minimax_replies(index))
         probs = []
+        total = 0.0
         for c in cells:
             # eps / n plus (1 - eps) * p, in this order: Q-tables and episode
             # sampling depend on these exact floats
             p = base + share * best[c] if c in best else base
             if p > 0.0:
                 probs.append((c, p))
+                total += p
+        # Summed in the order sampling and the solver sum them, rounding can
+        # push the total above 1; then the largest probability gives up one
+        # ulp at a time until it does not (at most four on the eps grid).
+        while total > 1.0:
+            j = max(range(len(probs)), key=lambda i: probs[i][1])
+            probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0))
+            total = 0.0
+            for _, p in probs:
+                total += p
         return tuple(probs)
 
 
@@ -107,6 +119,16 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
     if index_to_move(index) != 2:
         raise ValueError(f"board {index} has X to move; the opponent plays O")
     return model.reply_probs(index)
+
+
+@lru_cache(maxsize=None)
+def covers_every_reply(model: OpponentModel) -> bool:
+    """Whether `model` gives each legal reply, on every reachable board with O to move, positive probability."""
+    return all(
+        len(reply_distribution(model, index)) == len(empty_cells(index))
+        for index in enumerate_reachable_states()
+        if index_status(index) is GameStatus.IN_PROGRESS and index_to_move(index) == 2
+    )
 
 
 def descriptor(model: OpponentModel):

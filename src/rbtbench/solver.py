@@ -17,6 +17,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from math import isnan
 
 from .game import (
     GameStatus,
@@ -44,15 +46,16 @@ class CorruptEntryError(ValueError):
 class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
 
-    Entries are read-only once episodes run on the table: ``env.decide``
-    memoizes one decision per belief, and the beliefs predicted from it, in
-    the table's private cache, and those results are computed from the
-    entries.  To change values, build a new ``QTable``.
+    Entries are read-only once episodes run on the table: the episode loop
+    keeps its belief-transition graph in the table's private cache (the root
+    node, keyed ``None``, and one ``env.Decision`` per posterior belief, which
+    holds the nodes predicted from it), and the decisions are computed from
+    the entries.  To change values, build a new ``QTable``.
     """
 
     opponent: object  # descriptor: "uniform" | "minimax" | {"eps_minimax": p}
     entries: dict[int, list[float]] = field(default_factory=dict)
-    # belief key -> cached decision, filled by env.decide
+    # None -> root node, belief key -> cached decision; filled by env
     _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def state_value(self, state_index: int) -> float:
@@ -124,7 +127,8 @@ def solve_q(opponent: OpponentModel) -> QTable:
     """Solve Q(s, a) exactly for every X-to-move, non-terminal reachable board.
 
     Walks the plan bottom-up: each after-X expectation is computed once, from
-    the already solved values of its after-O boards.
+    the already solved values of its after-O boards.  Reply probabilities add
+    up, in this order, to at most 1, so no expectation leaves [-1, 1].
     """
     rows, replies = _solve_plan()
     entries: dict[int, list[float]] = {}
@@ -143,11 +147,6 @@ def solve_q(opponent: OpponentModel) -> QTable:
                         total -= p
                     elif after_o != _DRAW:
                         total += p * values[after_o]
-                if not -1.0 <= total <= 1.0:
-                    # Reply probabilities can sum to 1 + ulp in floating point
-                    # (eps-minimax adds two shares per cell); an expectation
-                    # of values in [-1, 1] must not leave that range.
-                    total = 1.0 if total > 0.0 else -1.0
                 expectations[after_x] = total
             row[action] = total
         entries[index] = row
@@ -192,27 +191,54 @@ def load_qtable(path) -> QTable:
     if not isinstance(rows, dict):
         got = _json_type(rows) if "entries" in payload else "nothing"
         raise CorruptEntryError(f'"entries" must be a JSON object, got {got}')
-    entries: dict[int, list[float]] = {}
+    states = _entry_keys()
+    if rows.keys() != states.keys():
+        raise _key_error(rows.keys())
     for key, row in rows.items():
         if not isinstance(row, list) or len(row) != 9:
             raise CorruptEntryError(f"state {key}: expected 9 action values")
-        try:
-            row = [float(v) for v in row]
-        except (TypeError, ValueError):
-            raise CorruptEntryError(f"state {key}: action values must be numbers") from None
-        # NaN fails every comparison, so it is rejected here with the infinities
-        if any(not -1.0 <= v <= 1.0 for v in row):
-            raise CorruptEntryError(f"state {key}: value outside [-1, 1]")
-        entries[int(key)] = row
-    expected = decision_states()
-    if entries.keys() != expected:
-        missing = sorted(expected - entries.keys())
-        extra = sorted(entries.keys() - expected)
-        raise CorruptEntryError(
-            f"Q-table entries must cover exactly the {len(expected)} reachable X-to-move states: "
-            f"missing {_listed(missing)}, extra {_listed(extra)}"
-        )
+    # All values checked at once: only floats, within [-1, 1].  NaN compares
+    # false, so min and max skip it unless it comes first; the sum catches it.
+    values = list(chain.from_iterable(rows.values()))
+    valid = set(map(type, values)) == {float} and -1.0 <= min(values) <= max(values) <= 1.0
+    if valid and not isnan(sum(values)):
+        entries = {states[key]: row for key, row in rows.items()}
+    else:  # ints pass, as floats; any other value fails on the first row that holds it
+        entries = {states[key]: _checked_row(key, row) for key, row in rows.items()}
     return QTable(opponent=payload["opponent"], entries=entries)
+
+
+@lru_cache(maxsize=None)
+def _entry_keys() -> dict[str, int]:
+    """Entry key -> decision state, for every state, as ``save_qtable`` writes the keys."""
+    return {str(i): i for i in decision_states()}
+
+
+def _key_error(keys) -> CorruptEntryError:
+    states = _entry_keys()
+    for key in keys:
+        # int() also reads a sign, spaces, underscores and leading zeros
+        if key not in states and str(int(key) if key.isdecimal() else None) != key:
+            return CorruptEntryError(f"entry key {json.dumps(key)} is not a board index as save_qtable writes it")
+    found = set(map(int, keys))
+    expected = decision_states()
+    missing = sorted(expected - found)
+    extra = sorted(found - expected)
+    return CorruptEntryError(
+        f"Q-table entries must cover exactly the {len(expected)} reachable X-to-move states: "
+        f"missing {_listed(missing)}, extra {_listed(extra)}"
+    )
+
+
+def _checked_row(key: str, row: list) -> list[float]:
+    """A row of nine JSON numbers in [-1, 1], as floats; anything else fails with the state's key."""
+    types = set(map(type, row))
+    if not types <= {float, int}:  # JSON numbers only; type(True) is bool
+        raise CorruptEntryError(f"state {key}: action values must be numbers")
+    # NaN fails every comparison, so it is rejected here with the infinities
+    if any(not -1.0 <= v <= 1.0 for v in row):
+        raise CorruptEntryError(f"state {key}: value outside [-1, 1]")
+    return row if types == {float} else list(map(float, row))
 
 
 def _json_type(value) -> str:

@@ -7,6 +7,7 @@ recursion without memoization; the posterior oracle enumerates whole
 opponent-reply paths instead of filtering incrementally.
 """
 
+import math
 from functools import lru_cache
 
 WIN_TRIPLES = (
@@ -106,10 +107,24 @@ def eps_minimax_reply_tuple(cells, eps):
 
     Uniform shares eps / n go into a dict, each minimax reply adds
     (1 - eps) * p to its cell, and the cells come out sorted with zero shares
-    dropped.  The float operations are those the library must perform, in
-    the same order, so the comparison is exact.
+    dropped.  While the tuple's float sum, taken left to right, exceeds 1, its
+    largest probability (the first, on a tie) steps down to the next float.
+    The float operations are those the library must perform, in the same
+    order, so the comparison is exact.
     """
-    return tuple((i, p) for i, p in reply_probs(cells, ("eps", eps)) if p > 0.0)
+    probs = [[i, p] for i, p in reply_probs(cells, ("eps", eps)) if p > 0.0]
+
+    def left_to_right_sum():
+        total = 0.0
+        for _, p in probs:
+            total += p
+        return total
+
+    while left_to_right_sum() > 1.0:
+        largest = max(p for _, p in probs)
+        first = next(pair for pair in probs if pair[1] == largest)
+        first[1] = math.nextafter(largest, 0.0)
+    return tuple((i, p) for i, p in probs)
 
 
 def expectimax_q(cells, action, kind):

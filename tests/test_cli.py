@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from rbtbench.belief import WindowShape
-from rbtbench.cli import main, step_from_json, step_to_json
-from rbtbench.env import EpisodeConfig, run_episodes
+from rbtbench.belief import Observation, WindowPlacement, WindowShape
+from rbtbench.cli import main, step_to_json
+from rbtbench.env import EpisodeConfig, StepRecord, run_episodes
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.solver import load_qtable
 
@@ -60,6 +60,28 @@ def test_run_full_window_policies_coincide(q_uniform_path, tmp_path):
                        "--episodes", "60", "--seed", "11", "--out", str(csv)) == 0
     _, row_mix, row_alt = csv.read_text().splitlines()
     assert row_mix.split(",")[3] == row_alt.split(",")[3]
+
+
+def observation_from_json(o: dict) -> Observation:
+    shape = WindowShape(height=o["height"], width=o["width"])
+    return Observation(placement=WindowPlacement(top=o["top"], left=o["left"], shape=shape), contents=o["contents"])
+
+
+def step_from_json(obj: dict) -> tuple[int, StepRecord]:
+    """One trace line back to its episode number and step; the package reads no traces."""
+    step = StepRecord(
+        t=obj["t"],
+        observation=observation_from_json(obj["observation"]),
+        belief={int(s): p for s, p in obj["belief"].items()},
+        belief_support_size=obj["belief_support_size"],
+        a_mix=frozenset(obj["a_mix"]),
+        a_max=frozenset(obj["a_max"]),
+        iou=obj["iou"],
+        margin=obj["margin"],
+        chosen_action=obj["chosen_action"],
+        reward=obj["reward"],
+    )
+    return obj["episode"], step
 
 
 def test_trace_jsonl_round_trips(q_uniform_path, tmp_path, q_uniform):
@@ -261,6 +283,24 @@ def test_qtable_with_a_non_numeric_value_fails_in_one_line(q_uniform_path, tmp_p
     assert "state 0: action values must be numbers" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda entries: entries["0"].__setitem__(4, "0.5"), "state 0: action values must be numbers",
+                 id="string-value"),
+    pytest.param(lambda entries: entries["0"].__setitem__(4, True), "state 0: action values must be numbers",
+                 id="boolean-value"),
+    pytest.param(lambda entries: entries.__setitem__("00", entries.pop("0")),
+                 'entry key "00" is not a board index as save_qtable writes it', id="leading-zero-key"),
+])
+def test_qtable_that_int_and_float_would_misread_fails_in_one_line(edit, message, q_uniform_path, tmp_path,
+                                                                    capsys):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    edit(payload["entries"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
+    assert message in one_line_error(capsys)
+
+
 MISSING = object()
 
 
@@ -292,13 +332,7 @@ def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uni
 
 @pytest.mark.parametrize("contents", [[3, 0], [0, -1], [True, 0], [0, 1.0], [0], [0, 0, 0]])
 def test_trace_step_with_bad_observation_contents_is_rejected(contents):
-    obj = {
-        "episode": 0, "t": 0,
-        "observation": {"top": 0, "left": 0, "height": 2, "width": 1, "contents": contents},
-        "belief": {"0": 1.0}, "belief_support_size": 1, "a_mix": [0], "a_max": [0],
-        "iou": 1.0, "margin": 0.0, "chosen_action": 0, "reward": 0.0,
-    }
+    placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=2, width=1))
     with pytest.raises(ValueError):
-        step_from_json(obj)
-    obj["observation"]["contents"] = [0, 1]
-    assert step_from_json(obj)[1].observation.contents == (0, 1)
+        Observation(placement=placement, contents=contents)
+    assert Observation(placement=placement, contents=[0, 1]).contents == (0, 1)

@@ -1,10 +1,13 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from rbtbench.belief import WindowPlacement, WindowShape
+from rbtbench import env
+from rbtbench.belief import Observation, WindowPlacement, WindowShape, initial_belief, predict, update
 from rbtbench.env import (
     MAXBELIEF,
     MIXTURE,
@@ -17,7 +20,12 @@ from rbtbench.env import (
 )
 from rbtbench.game import cell_mark
 from rbtbench.metrics import iou
-from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent, reply_distribution
+from rbtbench.opponents import (
+    EpsilonMinimaxOpponent,
+    MinimaxOpponent,
+    UniformRandomOpponent,
+    reply_distribution,
+)
 from rbtbench.policy import alt_values, argmax_set, mean_value, mixture_values
 from rbtbench.solver import QTable
 
@@ -182,6 +190,21 @@ def test_mismatched_belief_model_still_tracks_the_truth(q_uniform):
             assert math.isclose(sum(step.belief.values()), 1.0, abs_tol=1e-9)
 
 
+def test_a_belief_model_that_rules_out_a_legal_reply_is_rejected(q_uniform):
+    # this config used to raise ZeroEvidenceError inside run_episodes
+    for model in (MinimaxOpponent(), EpsilonMinimaxOpponent(0.0)):
+        with pytest.raises(ValueError, match="gives some legal reply zero probability"):
+            EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, belief_opponent=model, seed=0)
+    # the true model itself, a uniform one, and eps > 0 all pass
+    for opponent, model in ((MinimaxOpponent(), MinimaxOpponent()),
+                            (MinimaxOpponent(), UNIFORM),
+                            (MinimaxOpponent(), EpsilonMinimaxOpponent(0.05))):
+        config = EpisodeConfig(shape=WindowShape(1, 1), opponent=opponent, belief_opponent=model, seed=0)
+        for result in run_episodes(config, QTable(opponent=q_uniform.opponent, entries=q_uniform.entries), 60):
+            for step, true_state in zip(result.steps, result.true_states):
+                assert step.belief.get(true_state, 0.0) > 0.0
+
+
 # --- the per-belief decision cache ---------------------------------------------
 
 def fresh_copy(q):
@@ -243,3 +266,73 @@ def test_step_decisions_match_the_policy_functions(q_uniform):
                 assert step.a_max == a_max
                 assert step.margin == max(values) - mean_value(values, a_max)  # exact, not close
                 assert step.iou == iou(step.a_mix, step.a_max)
+
+
+# --- the belief-transition graph -------------------------------------------------
+
+def test_observation_keys_are_equal_exactly_when_observations_are():
+    seen = {}
+    for height, width in product((1, 2, 3), repeat=2):
+        for placement in WindowShape(height, width).placements():
+            for contents in product((0, 1, 2), repeat=height * width):
+                obs = Observation(placement=placement, contents=contents)
+                assert seen.setdefault(obs.key, obs) == obs  # no two observations share a key
+    assert len(seen) == 27 + 2 * 54 + 2 * 81 + 324 + 2 * 1458 + 19683  # every (placement, contents)
+    for key, obs in list(seen.items())[::97]:  # an equal observation built anew gets the same key
+        shape = WindowShape(obs.placement.shape.height, obs.placement.shape.width)
+        twin = Observation(placement=WindowPlacement(obs.placement.top, obs.placement.left, shape),
+                           contents=list(obs.contents))
+        assert twin == obs and twin.key == key
+
+
+def counting_updates(monkeypatch):
+    """(prior, observation key) of every ``update`` call the episode loop makes."""
+    calls = []
+    original = env.update
+
+    def counting(prior, obs):
+        calls.append((id(prior), obs.key))
+        return original(prior, obs)
+
+    monkeypatch.setattr(env, "update", counting)
+    return calls
+
+
+def test_a_cold_run_updates_once_per_edge(monkeypatch, q_uniform, q_minimax):
+    calls = counting_updates(monkeypatch)
+    config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=900)
+    run_episodes(config, fresh_copy(q_minimax), 100)  # another table's graph, built first
+    calls.clear()
+    results = run_episodes(config, fresh_copy(q_uniform), 300)
+    # a prior node is the root, or what one posterior and one action predict
+    edges = set()
+    for result in results:
+        node = None
+        for step in result.steps:
+            edges.add((node, step.observation.key))
+            node = (tuple(step.belief.items()), step.chosen_action)
+    assert len(calls) == len(set(calls)) == len(edges)
+    assert len(edges) < sum(len(r.steps) for r in results) / 2  # most steps walk a cached edge
+
+
+def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):
+    calls = counting_updates(monkeypatch)
+    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=500)
+    twin = replace(config, shape=WindowShape(2, 1))
+    assert twin.shape is not config.shape and twin.shape.placements()[0] is not config.shape.placements()[0]
+    q = fresh_copy(q_uniform)
+    first = run_episodes(config, q, 200)
+    built = len(calls)
+    second = run_episodes(twin, q, 200)
+    assert len(calls) == built > 0  # every edge of the twin's run was already there
+    fresh = run_episodes(twin, fresh_copy(q_uniform), 200)
+    assert len(calls) == 2 * built  # a fresh table builds a graph of its own
+    assert first == second == fresh
+    # the walk gives what the filter gives, step by step from the empty board
+    for result in second:
+        belief = initial_belief()
+        for step in result.steps:
+            if step.t > 0:
+                belief = predict(belief, result.steps[step.t - 1].chosen_action, UNIFORM)
+            belief = update(belief, step.observation)
+            assert step.belief == belief

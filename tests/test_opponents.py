@@ -127,6 +127,38 @@ def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
         assert reply_distribution(model, index) == oracles.eps_minimax_reply_tuple(cells, eps)
 
 
+def o_to_move_boards_by_oracle():
+    """Every reachable, unfinished board with O to move, from the oracle's own enumeration."""
+    return sorted(
+        oracles.board_index(cells)
+        for cells in oracles.all_reachable_boards()
+        if not oracles.winner(cells) and not oracles.is_full(cells) and cells.count(1) > cells.count(2)
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    # the eps grid, and two eps values so small that the last reply's share
+    # is below the rounding error of the others
+    [UniformRandomOpponent(), MinimaxOpponent()]
+    + [EpsilonMinimaxOpponent(eps) for eps in [k / 20 for k in range(21)] + [1e-15, 1e-14]],
+    ids=lambda model: descriptor(model) if isinstance(descriptor(model), str) else f"eps{model.eps}",
+)
+def test_reply_probabilities_sum_to_one_within_an_ulp(model):
+    # Summed left to right, as reply sampling, predict and the solver add
+    # them up: never above 1, and at most one ulp below it.
+    boards = o_to_move_boards_by_oracle()
+    assert len(boards) == 2097
+    for index in boards:
+        probs = [p for _, p in reply_distribution(model, index)]
+        total = 0.0
+        for p in probs:
+            total += p
+        assert 1.0 - math.ulp(1.0) <= total <= 1.0, (index, total)
+        assert abs(math.fsum(probs) - 1.0) <= math.ulp(1.0), index
+        assert all(p > 0.0 for p in probs), index
+
+
 def test_descriptor_round_trip():
     for model in (UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.25)):
         assert from_descriptor(descriptor(model)) == model

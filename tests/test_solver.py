@@ -145,6 +145,50 @@ def test_load_rejects_non_finite_values(q_uniform_path, tmp_path, value):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("position", [0, 8])
+def test_load_rejects_nan_first_and_last_in_a_row(q_uniform_path, tmp_path, position):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["45"][position] = math.nan
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptEntryError, match="state 45: value outside"):
+        load_qtable(path)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5], {"v": 0.5}])
+def test_load_accepts_only_json_numbers(q_uniform_path, tmp_path, value):
+    # float() would read "0.5" as 0.5 and true as 1.0
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["45"][4] = value
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptEntryError, match="^state 45: action values must be numbers$"):
+        load_qtable(path)
+
+
+def test_load_reads_json_integers_as_floats(q_uniform, tmp_path):
+    payload = {"version": 1, "opponent": "uniform", "gamma": 1.0,
+               "entries": {str(i): [int(v) if v.is_integer() else v for v in row]
+                           for i, row in q_uniform.entries.items()}}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    assert '[-1,' in path.read_text().replace(" ", "")  # the file does hold integers
+    loaded = load_qtable(path)
+    assert loaded.entries == q_uniform.entries
+    assert all(type(v) is float for row in loaded.entries.values() for v in row)
+
+
+@pytest.mark.parametrize("key", ["00", "045", "+45", "-0", " 45", "45 ", "4_5", "\u0664\u0665"])
+def test_load_rejects_an_entry_key_that_save_qtable_never_writes(q_uniform_path, tmp_path, key):
+    # int() reads every one of these keys as a board index
+    text = open(q_uniform_path, encoding="utf-8").read()
+    path = tmp_path / "q.json"
+    path.write_text(text.replace('"45":', f'"{key}":', 1))
+    assert '"45":' not in path.read_text()
+    with pytest.raises(CorruptEntryError, match="^entry key .* is not a board index as save_qtable writes it$"):
+        load_qtable(path)
+
+
 def test_load_validates_opponent_tag(tmp_path):
     path = tmp_path / "q.json"
     payload = {"version": 1, "opponent": "alphabeta", "gamma": 1.0, "entries": {}}
@@ -168,7 +212,7 @@ def test_every_solve_grid_table_saves_reloads_and_compares_equal(tmp_path):
 
 
 def test_eps_045_expectations_stay_within_the_unit_interval():
-    # its reply probabilities sum to 1 + ulp on 340 O-to-move boards
+    # its reply probabilities used to sum to 1 + ulp on 340 O-to-move boards
     q = solve_q(EpsilonMinimaxOpponent(0.45))
     assert q.entries[7][3] == q.entries[7][4] == q.entries[7][6] == 1.0
 
