@@ -169,13 +169,19 @@ def decide(belief: Belief, q: QTable) -> Decision:
     return decision
 
 
+def _root(q: QTable) -> Node:
+    """The empty board's graph node, in ``q._decisions`` under ``None`` (no belief key is ``None``)."""
+    node = q._decisions.get(None)
+    if node is None:
+        node = q._decisions[None] = (initial_belief(), {})
+    return node
+
+
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     belief_opponent = config.belief_opponent or config.opponent
     board = 0
-    node = q._decisions.get(None)  # the root: no decision is keyed None
-    if node is None:
-        node = q._decisions[None] = (initial_belief(), {})
+    node = _root(q)
     steps: list[StepRecord] = []
     true_states: list[int] = []
 

@@ -17,8 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
-from math import isnan
 
 from .game import (
     GameStatus,
@@ -47,15 +45,14 @@ class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
 
     Entries are read-only once episodes run on the table: the episode loop
-    keeps its belief-transition graph in the table's private cache (the root
-    node, keyed ``None``, and one ``env.Decision`` per posterior belief, which
-    holds the nodes predicted from it), and the decisions are computed from
-    the entries.  To change values, build a new ``QTable``.
+    keeps its belief-transition graph, and the decisions it computes from the
+    entries, in the table's private cache (``env`` alone reads and writes
+    it).  To change values, build a new ``QTable``.
     """
 
     opponent: object  # descriptor: "uniform" | "minimax" | {"eps_minimax": p}
     entries: dict[int, list[float]] = field(default_factory=dict)
-    # None -> root node, belief key -> cached decision; filled by env
+    # env's belief-transition graph and per-belief decisions
     _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def state_value(self, state_index: int) -> float:
@@ -194,17 +191,7 @@ def load_qtable(path) -> QTable:
     states = _entry_keys()
     if rows.keys() != states.keys():
         raise _key_error(rows.keys())
-    for key, row in rows.items():
-        if not isinstance(row, list) or len(row) != 9:
-            raise CorruptEntryError(f"state {key}: expected 9 action values")
-    # All values checked at once: only floats, within [-1, 1].  NaN compares
-    # false, so min and max skip it unless it comes first; the sum catches it.
-    values = list(chain.from_iterable(rows.values()))
-    valid = set(map(type, values)) == {float} and -1.0 <= min(values) <= max(values) <= 1.0
-    if valid and not isnan(sum(values)):
-        entries = {states[key]: row for key, row in rows.items()}
-    else:  # ints pass, as floats; any other value fails on the first row that holds it
-        entries = {states[key]: _checked_row(key, row) for key, row in rows.items()}
+    entries = {states[key]: _checked_row(key, row) for key, row in rows.items()}
     return QTable(opponent=payload["opponent"], entries=entries)
 
 
@@ -218,7 +205,7 @@ def _key_error(keys) -> CorruptEntryError:
     states = _entry_keys()
     for key in keys:
         # int() also reads a sign, spaces, underscores and leading zeros
-        if key not in states and str(int(key) if key.isdecimal() else None) != key:
+        if key not in states and not (key.isdecimal() and str(int(key)) == key):
             return CorruptEntryError(f"entry key {json.dumps(key)} is not a board index as save_qtable writes it")
     found = set(map(int, keys))
     expected = decision_states()
@@ -230,8 +217,10 @@ def _key_error(keys) -> CorruptEntryError:
     )
 
 
-def _checked_row(key: str, row: list) -> list[float]:
+def _checked_row(key: str, row) -> list[float]:
     """A row of nine JSON numbers in [-1, 1], as floats; anything else fails with the state's key."""
+    if not isinstance(row, list) or len(row) != 9:
+        raise CorruptEntryError(f"state {key}: expected 9 action values")
     types = set(map(type, row))
     if not types <= {float, int}:  # JSON numbers only; type(True) is bool
         raise CorruptEntryError(f"state {key}: action values must be numbers")

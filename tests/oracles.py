@@ -107,10 +107,15 @@ def eps_minimax_reply_tuple(cells, eps):
 
     Uniform shares eps / n go into a dict, each minimax reply adds
     (1 - eps) * p to its cell, and the cells come out sorted with zero shares
-    dropped.  While the tuple's float sum, taken left to right, exceeds 1, its
-    largest probability (the first, on a tie) steps down to the next float.
-    The float operations are those the library must perform, in the same
-    order, so the comparison is exact.
+    dropped.  The float operations are those the library must perform, in
+    the same order, so the comparison is exact.
+
+    The last step is not independent: while the tuple's float sum, taken left
+    to right, exceeds 1, its largest probability (the first, on a tie) steps
+    down to the next float, a copy of the library's correction loop.  What
+    that loop must achieve is checked on its own by
+    ``test_reply_probabilities_sum_to_one_within_an_ulp`` and by the pinned
+    eps Q-table digests in ``test_golden.py``.
     """
     probs = [[i, p] for i, p in reply_probs(cells, ("eps", eps)) if p > 0.0]
 

@@ -178,9 +178,9 @@ def test_load_reads_json_integers_as_floats(q_uniform, tmp_path):
     assert all(type(v) is float for row in loaded.entries.values() for v in row)
 
 
-@pytest.mark.parametrize("key", ["00", "045", "+45", "-0", " 45", "45 ", "4_5", "\u0664\u0665"])
+@pytest.mark.parametrize("key", ["00", "045", "+45", "-0", " 45", "45 ", "4_5", "\u0664\u0665", "None", "abc"])
 def test_load_rejects_an_entry_key_that_save_qtable_never_writes(q_uniform_path, tmp_path, key):
-    # int() reads every one of these keys as a board index
+    # int() reads all but the last two of these keys as a board index
     text = open(q_uniform_path, encoding="utf-8").read()
     path = tmp_path / "q.json"
     path.write_text(text.replace('"45":', f'"{key}":', 1))
