@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, TextIO
 
 from . import __version__
@@ -56,22 +55,6 @@ POLICY_PAIR = "mixture_vs_maxbelief"
 MARK_CHARS = ".XO"  # indexed by cell digit: empty, X, O
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a sweep bit for bit."""
-
-    tool: str
-    version: int
-    tool_version: str
-    qtable: str
-    qtable_sha256: str
-    opponent: object
-    windows: tuple[str, ...]
-    policies: tuple[str, ...]
-    episodes: int
-    seed: int
-
-
 def parse_opponent(text: str) -> OpponentModel:
     if text == "uniform":
         return UniformRandomOpponent()
@@ -92,17 +75,12 @@ def sweep_row_line(row: SweepRow) -> str:
     )
 
 
-def append_sweep_row(path: str, row: SweepRow) -> None:
-    fresh = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8") as fh:
+def write_returns_csv(path: str, rows: Sequence[SweepRow], append: bool = False) -> None:
+    """Write the header and `rows`; with `append`, add `rows` to an existing file instead."""
+    fresh = not (append and os.path.exists(path))
+    with open(path, "w" if fresh else "a", encoding="utf-8") as fh:
         if fresh:
             fh.write(RETURNS_HEADER + "\n")
-        fh.write(sweep_row_line(row) + "\n")
-
-
-def write_returns_csv(path: str, rows: Sequence[SweepRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RETURNS_HEADER + "\n")
         for row in rows:
             fh.write(sweep_row_line(row) + "\n")
 
@@ -321,10 +299,10 @@ def _window_label(flag: str, text: str) -> str:
 
 
 def _run_cell(
-    q: QTable, window: str, policy: str, episodes: int, seed: int
+    q: QTable, window: str, shape: WindowShape, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
     config = EpisodeConfig(
-        shape=WindowShape.from_label(window),
+        shape=shape,
         opponent=q.opponent_model(),
         policy=policy,
         seed=seed,
@@ -338,11 +316,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     window = _window_label("--window", args.window)
     _check_episodes(args.episodes)
     q, _ = _load_q(args)
-    row, results = _run_cell(q, window, args.policy, args.episodes, args.seed)
+    row, results = _run_cell(q, window, WindowShape.from_label(window), args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
     if args.out:
-        append_sweep_row(args.out, row)
+        write_returns_csv(args.out, [row], append=True)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(fh, results)
@@ -359,8 +337,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[SweepRow] = []
     timestep_rows: list[tuple] = []
     for window in windows:
+        shape = WindowShape.from_label(window)  # one per window: both cells share its placements' reads
         for policy in (MIXTURE, MAXBELIEF):
-            row, results = _run_cell(q, window, policy, args.episodes, args.seed)
+            row, results = _run_cell(q, window, shape, policy, args.episodes, args.seed)
             rows.append(row)
             if policy == MIXTURE:
                 for agg in aggregate_by_timestep(results):
@@ -370,20 +349,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_timestep_csv(os.path.join(args.out_dir, "timestep_metrics.csv"), timestep_rows)
     with open(os.path.join(args.out_dir, "returns.svg"), "w", encoding="utf-8") as fh:
         fh.write(render_returns_svg(rows))
-    manifest = RunManifest(
-        tool="rbt-bench",
-        version=1,
-        tool_version=__version__,
-        qtable=q_path,
-        qtable_sha256=qtable_digest(q_path),
-        opponent=q.opponent,
-        windows=tuple(windows),
-        policies=(MIXTURE, MAXBELIEF),
-        episodes=args.episodes,
-        seed=args.seed,
-    )
+    manifest = {  # everything needed to reproduce the sweep bit for bit
+        "tool": "rbt-bench", "version": 1, "tool_version": __version__,
+        "qtable": q_path, "qtable_sha256": qtable_digest(q_path), "opponent": q.opponent,
+        "windows": windows, "policies": [MIXTURE, MAXBELIEF], "episodes": args.episodes, "seed": args.seed,
+    }
     with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote returns.csv, timestep_metrics.csv, returns.svg, manifest.json to {args.out_dir}")
     return 0

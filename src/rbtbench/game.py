@@ -6,6 +6,15 @@ board is a key in [0, 19683) and Q-table files and belief dictionaries stay
 bit-stable.  This integer encoding is the only board representation: the
 solver, the opponents, the belief filter and the episode loop all work on it
 through `cell_mark`, `place_mark`, `index_status` and `empty_cells`.
+
+A board's status is read from two 9-bit masks, of its X and of its O cells,
+through a 512-entry "has a line" table built from ``LINES``; ``_status`` is
+that one formula.  ``reachable_boards`` builds the reachable game in one
+pass, layer by layer from the empty board: each board carries its two masks,
+a successor's being its parent's with the mover's bit set, and the pass
+records each board's status, mover and empty cells as it goes.  The solver
+and the opponents read those records; ``index_status``, ``empty_cells`` and
+``index_to_move`` answer for any index from masks read off it.
 """
 
 from __future__ import annotations
@@ -22,6 +31,15 @@ LINES = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),  # rows
     (0, 3, 6), (1, 4, 7), (2, 5, 8),  # columns
     (0, 4, 8), (2, 4, 6),             # diagonals
+)
+
+_FULL = 0b111111111  # the mask of all nine cells
+_LINE_MASKS = tuple(sum(1 << c for c in line) for line in LINES)
+_HAS_LINE = tuple(any(mask & line == line for line in _LINE_MASKS) for mask in range(512))
+_CELLS = tuple(tuple(c for c in range(9) if mask >> c & 1) for mask in range(512))  # ascending
+# (X mask, O mask) of each five-digit base-3 number; an index is read in two halves.
+_HALF_MASKS = tuple(
+    tuple(sum(1 << c for c in range(5) if n // POW3[c] % 3 == mark) for mark in (1, 2)) for n in range(243)
 )
 
 
@@ -46,32 +64,65 @@ def place_mark(index: int, cell: int, mark: int) -> int:
     return index + mark * POW3[cell]
 
 
+def _masks(index: int) -> tuple[int, int]:
+    """The X mask and the O mask of a board index (bit c set for a mark on cell c)."""
+    low_x, low_o = _HALF_MASKS[index % 243]
+    high_x, high_o = _HALF_MASKS[index // 243]
+    return low_x | high_x << 5, low_o | high_o << 5
+
+
+def _status(x: int, o: int) -> GameStatus:
+    """A board's status from its X and O masks; raises InvalidStateError on a double line."""
+    if _HAS_LINE[x]:
+        if _HAS_LINE[o]:
+            raise InvalidStateError("both players have a completed line")
+        return GameStatus.X_WINS
+    if _HAS_LINE[o]:
+        return GameStatus.O_WINS
+    return GameStatus.DRAW if x | o == _FULL else GameStatus.IN_PROGRESS
+
+
 @lru_cache(maxsize=None)
 def index_status(index: int) -> GameStatus:
     """Win, loss, draw or in progress; raises InvalidStateError on a double line."""
-    cells = [index // p % 3 for p in POW3]
-    x_line = any(cells[a] == 1 and cells[b] == 1 and cells[c] == 1 for a, b, c in LINES)
-    o_line = any(cells[a] == 2 and cells[b] == 2 and cells[c] == 2 for a, b, c in LINES)
-    if x_line and o_line:
-        raise InvalidStateError("both players have a completed line")
-    if x_line:
-        return GameStatus.X_WINS
-    if o_line:
-        return GameStatus.O_WINS
-    if all(c != 0 for c in cells):
-        return GameStatus.DRAW
-    return GameStatus.IN_PROGRESS
+    return _status(*_masks(index))
 
 
 @lru_cache(maxsize=None)
 def empty_cells(index: int) -> tuple[int, ...]:
-    return tuple(c for c in range(9) if index // POW3[c] % 3 == 0)
+    x, o = _masks(index)
+    return _CELLS[_FULL ^ (x | o)]
 
 
 @lru_cache(maxsize=None)
 def index_to_move(index: int) -> int:
-    digits = [index // p % 3 for p in POW3]
-    return 1 if digits.count(1) == digits.count(2) else 2
+    x, o = _masks(index)
+    return 1 if x.bit_count() == o.bit_count() else 2
+
+
+@lru_cache(maxsize=None)
+def reachable_boards() -> dict[int, tuple[GameStatus, int, tuple[int, ...]]]:
+    """Board -> (status, mark to move, empty cells), for every reachable board, fewest marks first.
+
+    One pass, one layer (one more mark) at a time; only boards in progress get successors.
+    """
+    boards = {}
+    layer = {0: (0, 0)}  # board -> (X mask, O mask)
+    mover = 1
+    while layer:
+        successors: dict[int, tuple[int, int]] = {}
+        for index, (x, o) in layer.items():
+            status = _status(x, o)
+            cells = _CELLS[_FULL ^ (x | o)]
+            boards[index] = (status, mover, cells)
+            if status is not GameStatus.IN_PROGRESS:
+                continue
+            for cell in cells:
+                successor = index + mover * POW3[cell]
+                if successor not in successors:
+                    successors[successor] = (x | 1 << cell, o) if mover == 1 else (x, o | 1 << cell)
+        layer, mover = successors, 3 - mover
+    return boards
 
 
 @lru_cache(maxsize=None)
@@ -81,16 +132,4 @@ def enumerate_reachable_states() -> frozenset[int]:
     Terminal boards are included (the solver needs them as successors); boards
     that could only arise from play continuing past a win are not.
     """
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        index = frontier.pop()
-        if index_status(index) is not GameStatus.IN_PROGRESS:
-            continue
-        mover = index_to_move(index)
-        for cell in empty_cells(index):
-            successor = index + mover * POW3[cell]
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return frozenset(seen)
+    return frozenset(reachable_boards())

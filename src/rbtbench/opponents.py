@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import nextafter
 from typing import Union
 
-from .game import GameStatus, empty_cells, enumerate_reachable_states, index_status, index_to_move, place_mark
+from .game import GameStatus, empty_cells, index_status, index_to_move, place_mark, reachable_boards
 
 
 class TerminalStateError(ValueError):
@@ -32,16 +32,17 @@ def game_value(index: int) -> int:
     """Minimax value of a board from X's perspective: +1, 0, or -1.
 
     X maximizes, O minimizes; terminal boards score win/loss/draw directly.
+    Reachable boards are read from game's records, any other from the helpers.
     """
-    st = index_status(index)
+    record = reachable_boards().get(index)
+    st, mover, cells = record or (index_status(index), index_to_move(index), empty_cells(index))
     if st is GameStatus.X_WINS:
         return 1
     if st is GameStatus.O_WINS:
         return -1
     if st is GameStatus.DRAW:
         return 0
-    mover = index_to_move(index)
-    child_values = [game_value(place_mark(index, c, mover)) for c in empty_cells(index)]
+    child_values = [game_value(place_mark(index, c, mover)) for c in cells]
     return max(child_values) if mover == 1 else min(child_values)
 
 
@@ -125,9 +126,9 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
 def covers_every_reply(model: OpponentModel) -> bool:
     """Whether `model` gives each legal reply, on every reachable board with O to move, positive probability."""
     return all(
-        len(reply_distribution(model, index)) == len(empty_cells(index))
-        for index in enumerate_reachable_states()
-        if index_status(index) is GameStatus.IN_PROGRESS and index_to_move(index) == 2
+        len(reply_distribution(model, index)) == len(cells)
+        for index, (st, mover, cells) in reachable_boards().items()
+        if st is GameStatus.IN_PROGRESS and mover == 2
     )
 
 

@@ -18,15 +18,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .game import (
-    GameStatus,
-    POW3,
-    empty_cells,
-    enumerate_reachable_states,
-    index_status,
-    index_to_move,
-    place_mark,
-)
+from .game import GameStatus, POW3, enumerate_reachable_states, reachable_boards
 from .opponents import OpponentModel, descriptor, from_descriptor, reply_distribution
 
 FORMAT_VERSION = 1
@@ -65,11 +57,9 @@ class QTable:
 @lru_cache(maxsize=None)
 def decision_states() -> frozenset[int]:
     """Reachable, in-progress boards with X to move: exactly the keys of a Q-table."""
-    return frozenset(
-        index
-        for index in enumerate_reachable_states()
-        if index_status(index) is GameStatus.IN_PROGRESS and index_to_move(index) == 1
-    )
+    reachable = enumerate_reachable_states()  # called first, so the one pass in game runs inside it
+    boards = reachable_boards()
+    return frozenset(i for i in reachable if boards[i][:2] == (GameStatus.IN_PROGRESS, 1))
 
 
 # Successor codes in an after-X board's reply table that are not boards.
@@ -88,17 +78,20 @@ def _solve_plan() -> tuple[tuple, dict[int, tuple[int, ...]]]:
     ``open_moves`` pairs every other action with its in-progress after-X
     board.  ``replies`` maps each such board to a nine-slot tuple holding,
     for each cell O may reply on, the after-O board, ``_O_WINS`` or
-    ``_DRAW``.  Every solve shares the plan and only reads it.
+    ``_DRAW``.  Statuses and empty cells come from game's records.  Every
+    solve shares the plan and only reads it.
     """
+    states = decision_states()
+    boards = reachable_boards()
     rows = []
     templates: dict[tuple[float, ...], tuple[float, ...]] = {}  # 69 distinct; shared
     replies: dict[int, tuple[int, ...]] = {}
-    for index in sorted(decision_states(), key=lambda i: (len(empty_cells(i)), i)):
+    for index in sorted(states, key=lambda i: (len(boards[i][2]), i)):
         template = [-1.0] * 9
         open_moves = []
-        for action in empty_cells(index):
+        for action in boards[index][2]:
             after_x = index + POW3[action]  # X mark = digit 1
-            st = index_status(after_x)
+            st, _, reply_cells = boards[after_x]
             if st is GameStatus.X_WINS:
                 template[action] = 1.0
             elif st is GameStatus.DRAW:
@@ -107,9 +100,9 @@ def _solve_plan() -> tuple[tuple, dict[int, tuple[int, ...]]]:
                 open_moves.append((action, after_x))
                 if after_x not in replies:
                     succ = [_DRAW] * 9
-                    for reply in empty_cells(after_x):
-                        after_o = place_mark(after_x, reply, 2)
-                        st2 = index_status(after_o)
+                    for reply in reply_cells:
+                        after_o = after_x + 2 * POW3[reply]  # O mark = digit 2
+                        st2 = boards[after_o][0]
                         if st2 is GameStatus.O_WINS:
                             succ[reply] = _O_WINS
                         elif st2 is not GameStatus.DRAW:

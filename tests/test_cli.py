@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from rbtbench import cli
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
 from rbtbench.cli import main, step_to_json
 from rbtbench.env import EpisodeConfig, StepRecord, run_episodes
@@ -137,6 +138,25 @@ def test_sweep_outputs(q_uniform_path, tmp_path):
     # byte-identical across reruns, chart included
     for name in ("returns.csv", "timestep_metrics.csv", "returns.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sweep_shares_one_window_shape_between_the_policies(q_uniform_path, tmp_path, monkeypatch):
+    shapes = []
+    original = cli.run_episodes
+
+    def recording(config, q, episodes):
+        shapes.append((config.policy, config.shape))
+        return original(config, q, episodes)
+
+    monkeypatch.setattr(cli, "run_episodes", recording)
+    assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1,2x1", "--episodes", "2",
+                   "--out-dir", str(tmp_path)) == 0
+    assert [(policy, shape.label) for policy, shape in shapes] == [
+        ("mixture", "1x1"), ("maxbelief", "1x1"), ("mixture", "2x1"), ("maxbelief", "2x1")
+    ]
+    # both cells of a window read boards through the same placements and their caches
+    assert shapes[0][1] is shapes[1][1] and shapes[2][1] is shapes[3][1]
+    assert shapes[0][1] is not shapes[2][1]
 
 
 def test_replay_starts_from_certainty(q_uniform_path, capsys):

@@ -88,6 +88,19 @@ def test_run_episodes_derives_per_episode_seeds(q_uniform):
         assert result == single
 
 
+def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_uniform):
+    checked, configs = [], []
+    post_init = EpisodeConfig.__post_init__
+    monkeypatch.setattr(EpisodeConfig, "__post_init__", lambda self: checked.append(self) or post_init(self))
+    monkeypatch.setattr(env, "run_episode", lambda config, q: configs.append(config))
+    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, policy=MAXBELIEF, seed=7,
+                           belief_opponent=EpsilonMinimaxOpponent(0.5))
+    before = len(checked)
+    run_episodes(config, q_uniform, 3)
+    assert checked[before:] == configs  # one check per episode
+    assert configs == [replace(config, seed=7 + i) for i in range(3)]
+
+
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError):
         EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, policy="psychic")

@@ -11,6 +11,7 @@ from rbtbench.game import (
     index_status,
     index_to_move,
     place_mark,
+    reachable_boards,
 )
 
 import oracles
@@ -55,6 +56,41 @@ def test_status_matches_oracle_on_every_reachable_board():
             2: GameStatus.O_WINS,
         }.get(w, GameStatus.DRAW if oracles.is_full(cells) else GameStatus.IN_PROGRESS)
         assert index_status(index) is expected
+
+
+def test_status_matches_oracle_on_every_index():
+    for index in range(3**9):
+        cells = oracles.cells_of(index)
+        holders = oracles.line_holders(cells)
+        if holders == {X, O}:
+            with pytest.raises(InvalidStateError):
+                index_status(index)
+            continue
+        expected = {
+            X: GameStatus.X_WINS,
+            O: GameStatus.O_WINS,
+        }.get(min(holders, default=E), GameStatus.DRAW if oracles.is_full(cells) else GameStatus.IN_PROGRESS)
+        assert index_status(index) is expected, index
+
+
+def test_empty_cells_match_oracle_on_every_index():
+    for index in range(3**9):
+        assert list(empty_cells(index)) == oracles.empties(oracles.cells_of(index)), index
+
+
+def test_mover_follows_the_cell_parity_on_every_reachable_board():
+    for index in enumerate_reachable_states():
+        cells = oracles.cells_of(index)
+        assert index_to_move(index) == (X if cells.count(X) == cells.count(O) else O), index
+
+
+def test_the_reachable_pass_records_what_the_helpers_answer():
+    boards = reachable_boards()
+    assert boards.keys() == enumerate_reachable_states()
+    for index, record in boards.items():
+        assert record == (index_status(index), index_to_move(index), empty_cells(index)), index
+    marks = [9 - len(cells) for _, _, cells in boards.values()]
+    assert marks == sorted(marks)  # boards with fewer marks come first
 
 
 def test_valid_actions_examples():
