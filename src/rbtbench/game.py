@@ -14,7 +14,7 @@ pass, layer by layer from the empty board: each board carries its two masks,
 a successor's being its parent's with the mover's bit set, and the pass
 records each board's status, mover and empty cells as it goes.  The solver
 and the opponents read those records; ``index_status``, ``empty_cells`` and
-``index_to_move`` answer for any index from masks read off it.
+``index_to_move`` answer for any index in [0, 3**9) from its masks.
 """
 
 from __future__ import annotations
