@@ -32,10 +32,10 @@ def game_value(index: int) -> int:
     """Minimax value of a board from X's perspective: +1, 0, or -1.
 
     X maximizes, O minimizes; terminal boards score win/loss/draw directly.
-    Reachable boards are read from game's records, any other from the helpers.
+    The board must be reachable: its status, mover and empty cells are read
+    from game's records, and any other board raises KeyError.
     """
-    record = reachable_boards().get(index)
-    st, mover, cells = record or (index_status(index), index_to_move(index), empty_cells(index))
+    st, mover, cells = reachable_boards()[index]
     if st is GameStatus.X_WINS:
         return 1
     if st is GameStatus.O_WINS:

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -89,6 +89,8 @@ def test_run_episodes_derives_per_episode_seeds(q_uniform):
 
 
 def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_uniform):
+    # run_episodes names every field; a new one must be added there, and to `config` below
+    assert [f.name for f in fields(EpisodeConfig)] == ["shape", "opponent", "policy", "seed", "belief_opponent"]
     checked, configs = [], []
     post_init = EpisodeConfig.__post_init__
     monkeypatch.setattr(EpisodeConfig, "__post_init__", lambda self: checked.append(self) or post_init(self))

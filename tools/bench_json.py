@@ -21,12 +21,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-narrow", "trace-wide", "solve-grid")
+SECONDS = 30  # every BENCH_<n>.json uses the same run length, so files compare
 
 
-def run_workload(workload: str, seed: int, seconds: float) -> dict:
+def run_workload(workload: str, seed: int) -> dict:
     """One untraced perfbench run; its result.json, or an error if the run failed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(command[1:])} exited with {done.returncode}: {done.stderr[-500:]}")
@@ -38,15 +39,14 @@ def run_workload(workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--out", required=True, help="output path, relative to the checkout root")
     args = parser.parse_args(argv)
 
-    results = {w: run_workload(w, args.seed, args.seconds) for w in WORKLOADS}
+    results = {w: run_workload(w, args.seed) for w in WORKLOADS}
     bench = {
         "environment": results[WORKLOADS[0]]["environment"],
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "workloads": {
             w: {
                 "command": r["command"],
