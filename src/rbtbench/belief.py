@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .game import Action, GameStatus, POW3, cell_mark, index_status
+from .game import Action, GameStatus, POW3, cell_mark, reachable_boards
 from .opponents import OpponentModel, reply_distribution
 
 Belief = dict[int, float]
@@ -149,17 +149,21 @@ def _normalized(mass: dict[int, float]) -> Belief:
 
 
 def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Belief:
-    """Push a belief through our move and the opponent's reply, given the episode continued."""
+    """Push a belief through our move and the opponent's reply, given the episode continued.
+
+    Every board in the belief must be reachable with X to move; statuses are read from game's records.
+    """
+    boards = reachable_boards()
     mass: dict[int, float] = {}
     for index, p in belief.items():
         if cell_mark(index, agent_action) != 0:
             continue  # our move was valid, so this state was not the real one
         after_x = index + POW3[agent_action]
-        if index_status(after_x) is not GameStatus.IN_PROGRESS:
+        if boards[after_x][0] is not GameStatus.IN_PROGRESS:
             continue  # we did not win or fill the board
         for reply, rp in reply_distribution(opponent, after_x):
             after_o = after_x + 2 * POW3[reply]
-            if index_status(after_o) is GameStatus.IN_PROGRESS:
+            if boards[after_o][0] is GameStatus.IN_PROGRESS:
                 mass[after_o] = mass.get(after_o, 0.0) + p * rp
     if not mass:
         raise EmptySupportError(

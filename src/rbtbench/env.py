@@ -38,7 +38,7 @@ from .belief import (
     predict,
     update,
 )
-from .game import Action, GameStatus, cell_mark, index_status, place_mark
+from .game import Action, GameStatus, cell_mark, place_mark, reachable_boards
 from .metrics import iou
 from .opponents import OpponentModel, covers_every_reply, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -181,6 +181,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     belief_opponent = config.belief_opponent or config.opponent
     board = 0
+    boards = reachable_boards()  # play is legal from the empty board, so every board is in it
     node = _root(q)
     steps: list[StepRecord] = []
     true_states: list[int] = []
@@ -209,14 +210,14 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             reward, outcome = -1.0, Outcome.INVALID_MOVE
         else:
             board = place_mark(board, action, 1)
-            st = index_status(board)
+            st = boards[board][0]
             if st is GameStatus.X_WINS:
                 reward, outcome = 1.0, Outcome.WIN
             elif st is GameStatus.DRAW:
                 reward, outcome = 0.0, Outcome.DRAW
             else:
                 board = place_mark(board, _sample_reply(config.opponent, board, rng), 2)
-                st = index_status(board)
+                st = boards[board][0]
                 if st is GameStatus.O_WINS:
                     reward, outcome = -1.0, Outcome.LOSS
                 elif st is GameStatus.DRAW:

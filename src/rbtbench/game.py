@@ -12,8 +12,9 @@ through a 512-entry "has a line" table built from ``LINES``; ``_status`` is
 that one formula.  ``reachable_boards`` builds the reachable game in one
 pass, layer by layer from the empty board: each board carries its two masks,
 a successor's being its parent's with the mover's bit set, and the pass
-records each board's status, mover and empty cells as it goes.  The solver
-and the opponents read those records; ``index_status``, ``empty_cells`` and
+records each board's status, mover and empty cells as it goes.  The solver,
+the opponents' game values, the belief filter's prediction and the episode
+loop read those records; ``index_status``, ``empty_cells`` and
 ``index_to_move`` answer for any index in [0, 3**9) from its masks.
 """
 
