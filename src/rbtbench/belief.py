@@ -149,10 +149,7 @@ def _normalized(mass: dict[int, float]) -> Belief:
 
 
 def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Belief:
-    """Push a belief through our move and the opponent's reply, given the episode continued.
-
-    Every board in the belief must be reachable with X to move; statuses are read from game's records.
-    """
+    """Push a belief on reachable X-to-move boards through our move and the reply, given the episode continued."""
     boards = reachable_boards()
     mass: dict[int, float] = {}
     for index, p in belief.items():
