@@ -10,7 +10,7 @@ from rbtbench import (
     UniformRandomOpponent,
     solve_q,
 )
-from rbtbench.game import cell_mark, empty_cells
+from rbtbench.game import cell_mark, reachable_boards
 
 CELL_NAMES = ["top-left", "top", "top-right", "left", "center", "right",
               "bottom-left", "bottom", "bottom-right"]
@@ -37,7 +37,7 @@ for eps in (0.0, 0.25, 0.5, 0.75, 1.0):
 print()
 
 # a board mid-game: X at top-left and center, O at top and right
-board_index = next(i for i in q_uniform.entries if len(empty_cells(i)) == 5)
+board_index = next(i for i in q_uniform.entries if len(reachable_boards()[i][2]) == 5)  # (status, mover, empty cells)
 print(f"A 4-mark board (index {board_index}):")
 for r in range(3):
     print("   " + "".join(".XO"[cell_mark(board_index, r * 3 + c)] for c in range(3)))

@@ -38,7 +38,6 @@ from .env import (
 from .game import (
     Action,
     GameStatus,
-    InvalidStateError,
     enumerate_reachable_states,
 )
 from .metrics import (

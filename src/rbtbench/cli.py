@@ -362,9 +362,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    window = _window_label("--window", args.window)
     q, _ = _load_q(args)
     config = EpisodeConfig(
-        shape=WindowShape.from_label(args.window.lower()),
+        shape=WindowShape.from_label(window),
         opponent=q.opponent_model(),
         policy=MIXTURE,
         seed=args.seed,

@@ -40,7 +40,7 @@ from .belief import (
 )
 from .game import Action, GameStatus, cell_mark, place_mark, reachable_boards
 from .metrics import iou
-from .opponents import OpponentModel, covers_every_reply, reply_distribution
+from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
 from .solver import QTable
 
@@ -63,20 +63,10 @@ class EpisodeConfig:
     opponent: OpponentModel
     policy: str = MIXTURE
     seed: int = 0
-    # model the belief filter assumes for the opponent; None = the true one
-    belief_opponent: Optional[OpponentModel] = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        model = self.belief_opponent
-        if model is not None and model != self.opponent and not covers_every_reply(model):
-            # the filter would rule out a reply the opponent can play, and fail mid-run
-            raise ValueError(
-                f"belief_opponent {model!r} gives some legal reply zero probability; it must equal "
-                f"the opponent ({self.opponent!r}) or give every reply positive probability "
-                "(uniform, or eps-minimax with eps > 0)"
-            )
 
 
 @dataclass(slots=True)
@@ -179,7 +169,6 @@ def _root(q: QTable) -> Node:
 
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
-    belief_opponent = config.belief_opponent or config.opponent
     board = 0
     boards = reachable_boards()  # play is legal from the empty board, so every board is in it
     node = _root(q)
@@ -239,10 +228,10 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         )
         if outcome is not None:
             return EpisodeResult(steps=steps, total_return=reward, outcome=outcome, true_states=true_states)
-        key = (action, belief_opponent)
+        key = (action, config.opponent)  # one table may be run against several opponents
         node = decision.predictions.get(key)
         if node is None:
-            node = decision.predictions[key] = (predict(belief, action, belief_opponent), {})
+            node = decision.predictions[key] = (predict(belief, action, config.opponent), {})
 
     raise AssertionError("episode failed to terminate within five agent moves")
 
@@ -254,6 +243,5 @@ def run_episodes(config: EpisodeConfig, q: QTable, episodes: int) -> list[Episod
     workers and still reproduce the single-process results exactly.
     """
     c = config  # every field by keyword: cheaper than dataclasses.replace, same __post_init__
-    return [run_episode(EpisodeConfig(shape=c.shape, opponent=c.opponent, policy=c.policy, seed=c.seed + i,
-                                      belief_opponent=c.belief_opponent), q)
+    return [run_episode(EpisodeConfig(shape=c.shape, opponent=c.opponent, policy=c.policy, seed=c.seed + i), q)
             for i in range(episodes)]

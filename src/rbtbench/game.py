@@ -5,17 +5,17 @@ base-3 integer (cell i contributes digit*3^i with empty=0, X=1, O=2), so every
 board is a key in [0, 19683) and Q-table files and belief dictionaries stay
 bit-stable.  This integer encoding is the only board representation: the
 solver, the opponents, the belief filter and the episode loop all work on it
-through `cell_mark`, `place_mark`, `index_status` and `empty_cells`.
+through `cell_mark`, `place_mark` and `reachable_boards`.
 
-A board's status is read from two 9-bit masks, of its X and of its O cells,
-through a 512-entry "has a line" table built from ``LINES``; ``_status`` is
-that one formula.  ``reachable_boards`` builds the reachable game in one
-pass, layer by layer from the empty board: each board carries its two masks,
-a successor's being its parent's with the mover's bit set, and the pass
-records each board's status, mover and empty cells as it goes.  The solver,
-the opponents' game values, the belief filter's prediction and the episode
-loop read those records; ``index_status``, ``empty_cells`` and
-``index_to_move`` answer for any index in [0, 3**9) from its masks.
+``reachable_boards`` builds the reachable game in one pass, layer by layer
+from the empty board: each board carries two 9-bit masks, of its X and of its
+O cells, a successor's being its parent's with the mover's bit set, and the
+pass records each board's status, mover and empty cells as it goes.  Status
+is read from the masks through a 512-entry "has a line" table built from
+``LINES``.  Only boards in progress get successors, so no recorded board has
+a line for both players.  Those records are the only source of board facts:
+the solver, the opponents, the belief filter's prediction and the episode
+loop all read them, and a board outside them is not a legal position.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ _FULL = 0b111111111  # the mask of all nine cells
 _LINE_MASKS = tuple(sum(1 << c for c in line) for line in LINES)
 _HAS_LINE = tuple(any(mask & line == line for line in _LINE_MASKS) for mask in range(512))
 _CELLS = tuple(tuple(c for c in range(9) if mask >> c & 1) for mask in range(512))  # ascending
-# (X mask, O mask) of each five-digit base-3 number; an index is read in two halves.
-_HALF_MASKS = tuple(
-    tuple(sum(1 << c for c in range(5) if n // POW3[c] % 3 == mark) for mark in (1, 2)) for n in range(243)
-)
 
 
 class GameStatus(Enum):
@@ -49,10 +45,6 @@ class GameStatus(Enum):
     X_WINS = "x_wins"
     O_WINS = "o_wins"
     DRAW = "draw"
-
-
-class InvalidStateError(ValueError):
-    """Board violates the reachable-game invariants (both players hold a line)."""
 
 
 def cell_mark(index: int, cell: int) -> int:
@@ -65,40 +57,13 @@ def place_mark(index: int, cell: int, mark: int) -> int:
     return index + mark * POW3[cell]
 
 
-def _masks(index: int) -> tuple[int, int]:
-    """The X mask and the O mask of a board index (bit c set for a mark on cell c)."""
-    low_x, low_o = _HALF_MASKS[index % 243]
-    high_x, high_o = _HALF_MASKS[index // 243]
-    return low_x | high_x << 5, low_o | high_o << 5
-
-
 def _status(x: int, o: int) -> GameStatus:
-    """A board's status from its X and O masks; raises InvalidStateError on a double line."""
+    """A board's status from its X and O masks; the pass never builds a board where both hold a line."""
     if _HAS_LINE[x]:
-        if _HAS_LINE[o]:
-            raise InvalidStateError("both players have a completed line")
         return GameStatus.X_WINS
     if _HAS_LINE[o]:
         return GameStatus.O_WINS
     return GameStatus.DRAW if x | o == _FULL else GameStatus.IN_PROGRESS
-
-
-@lru_cache(maxsize=None)
-def index_status(index: int) -> GameStatus:
-    """Win, loss, draw or in progress; raises InvalidStateError on a double line."""
-    return _status(*_masks(index))
-
-
-@lru_cache(maxsize=None)
-def empty_cells(index: int) -> tuple[int, ...]:
-    x, o = _masks(index)
-    return _CELLS[_FULL ^ (x | o)]
-
-
-@lru_cache(maxsize=None)
-def index_to_move(index: int) -> int:
-    x, o = _masks(index)
-    return 1 if x.bit_count() == o.bit_count() else 2
 
 
 @lru_cache(maxsize=None)

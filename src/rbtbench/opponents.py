@@ -1,7 +1,8 @@
 """Opponent move models.
 
-The opponent sees the whole board, so each model maps an O-to-move board to a
-probability distribution over its legal replies.  Three models are provided:
+The opponent sees the whole board, so each model maps a reachable O-to-move
+board to a probability distribution over its legal replies.  Three models are
+provided:
 
 * ``UniformRandomOpponent`` -- every legal reply equally likely.
 * ``MinimaxOpponent`` -- game-theoretic best replies from a full-depth search,
@@ -20,7 +21,7 @@ from functools import lru_cache
 from math import nextafter
 from typing import Union
 
-from .game import GameStatus, empty_cells, index_status, index_to_move, place_mark, reachable_boards
+from .game import GameStatus, place_mark, reachable_boards
 
 
 class TerminalStateError(ValueError):
@@ -49,7 +50,7 @@ def game_value(index: int) -> int:
 @dataclass(frozen=True)
 class UniformRandomOpponent:
     def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        cells = empty_cells(index)
+        cells = reachable_boards()[index][2]
         p = 1.0 / len(cells)
         return tuple((c, p) for c in cells)
 
@@ -57,7 +58,7 @@ class UniformRandomOpponent:
 @lru_cache(maxsize=None)
 def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
     """O's game-theoretic best replies on a board, ties split uniformly."""
-    cells = empty_cells(index)
+    cells = reachable_boards()[index][2]
     values = [game_value(place_mark(index, c, 2)) for c in cells]
     best = min(values)  # O minimizes X's value
     winners = [c for c, v in zip(cells, values) if v == best]
@@ -80,7 +81,7 @@ class EpsilonMinimaxOpponent:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
 
     def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        cells = empty_cells(index)
+        cells = reachable_boards()[index][2]
         base = self.eps / len(cells)
         share = 1.0 - self.eps
         best = dict(_minimax_replies(index))
@@ -110,26 +111,21 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 @lru_cache(maxsize=None)
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
-    """Cached (cell, probability) pairs for an O-to-move, non-terminal board index.
+    """Cached (cell, probability) pairs for a reachable, O-to-move, non-terminal board index.
 
-    Raises TerminalStateError on a finished board and ValueError when X is to
-    move; both checks run only on a cache miss.
+    Raises ValueError on a board that legal play from the empty board cannot
+    reach, TerminalStateError on a finished board and ValueError when X is to
+    move; the checks run only on a cache miss.
     """
-    if index_status(index) is not GameStatus.IN_PROGRESS:
+    record = reachable_boards().get(index)
+    if record is None:
+        raise ValueError(f"board {index} is not reachable by legal play from the empty board")
+    st, mover, _ = record
+    if st is not GameStatus.IN_PROGRESS:
         raise TerminalStateError(f"board {index} is terminal")
-    if index_to_move(index) != 2:
+    if mover != 2:
         raise ValueError(f"board {index} has X to move; the opponent plays O")
     return model.reply_probs(index)
-
-
-@lru_cache(maxsize=None)
-def covers_every_reply(model: OpponentModel) -> bool:
-    """Whether `model` gives each legal reply, on every reachable board with O to move, positive probability."""
-    return all(
-        len(reply_distribution(model, index)) == len(cells)
-        for index, (st, mover, cells) in reachable_boards().items()
-        if st is GameStatus.IN_PROGRESS and mover == 2
-    )
 
 
 def descriptor(model: OpponentModel):

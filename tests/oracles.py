@@ -26,11 +26,6 @@ def winner(cells):
     return 0
 
 
-def line_holders(cells):
-    """The marks (1 X, 2 O) that complete at least one line; both only on unreachable boards."""
-    return {cells[a] for a, b, c in WIN_TRIPLES if cells[a] != 0 and cells[a] == cells[b] == cells[c]}
-
-
 def is_full(cells):
     return all(cells)
 

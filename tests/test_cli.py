@@ -249,6 +249,13 @@ def test_sweep_rejects_a_bad_window_before_running_any_cell(q_uniform_path, tmp_
     assert not out.exists()
 
 
+def test_replay_names_the_flag_of_a_bad_window(q_uniform_path, capsys):
+    assert run_cli("replay", "--q", q_uniform_path, "--window", "4x4", "--seed", "0") == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: --window: ") and "'4x4'" in err
+    assert capsys.readouterr().out == ""
+
+
 def test_episodes_below_two_is_an_error(q_uniform_path, tmp_path, capsys):
     for episodes in ("1", "0", "-3"):
         commands = (

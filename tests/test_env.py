@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -22,7 +21,6 @@ from rbtbench.game import cell_mark
 from rbtbench.metrics import iou
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
-    MinimaxOpponent,
     UniformRandomOpponent,
     reply_distribution,
 )
@@ -90,13 +88,12 @@ def test_run_episodes_derives_per_episode_seeds(q_uniform):
 
 def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_uniform):
     # run_episodes names every field; a new one must be added there, and to `config` below
-    assert [f.name for f in fields(EpisodeConfig)] == ["shape", "opponent", "policy", "seed", "belief_opponent"]
+    assert [f.name for f in fields(EpisodeConfig)] == ["shape", "opponent", "policy", "seed"]
     checked, configs = [], []
     post_init = EpisodeConfig.__post_init__
     monkeypatch.setattr(EpisodeConfig, "__post_init__", lambda self: checked.append(self) or post_init(self))
     monkeypatch.setattr(env, "run_episode", lambda config, q: configs.append(config))
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, policy=MAXBELIEF, seed=7,
-                           belief_opponent=EpsilonMinimaxOpponent(0.5))
+    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=EpsilonMinimaxOpponent(0.5), policy=MAXBELIEF, seed=7)
     before = len(checked)
     run_episodes(config, q_uniform, 3)
     assert checked[before:] == configs  # one check per episode
@@ -192,34 +189,6 @@ def test_reply_sampling_follows_the_distribution():
         assert abs(counts[cell] / n - p) < 4 * se + 1e-9
 
 
-def test_mismatched_belief_model_still_tracks_the_truth(q_uniform):
-    config = EpisodeConfig(
-        shape=WindowShape(2, 2),
-        opponent=UNIFORM,
-        belief_opponent=EpsilonMinimaxOpponent(0.3),
-        seed=55,
-    )
-    for result in run_episodes(config, q_uniform, 100):
-        for step, true_state in zip(result.steps, result.true_states):
-            assert step.belief.get(true_state, 0.0) > 0.0
-            assert math.isclose(sum(step.belief.values()), 1.0, abs_tol=1e-9)
-
-
-def test_a_belief_model_that_rules_out_a_legal_reply_is_rejected(q_uniform):
-    # this config used to raise ZeroEvidenceError inside run_episodes
-    for model in (MinimaxOpponent(), EpsilonMinimaxOpponent(0.0)):
-        with pytest.raises(ValueError, match="gives some legal reply zero probability"):
-            EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, belief_opponent=model, seed=0)
-    # the true model itself, a uniform one, and eps > 0 all pass
-    for opponent, model in ((MinimaxOpponent(), MinimaxOpponent()),
-                            (MinimaxOpponent(), UNIFORM),
-                            (MinimaxOpponent(), EpsilonMinimaxOpponent(0.05))):
-        config = EpisodeConfig(shape=WindowShape(1, 1), opponent=opponent, belief_opponent=model, seed=0)
-        for result in run_episodes(config, QTable(opponent=q_uniform.opponent, entries=q_uniform.entries), 60):
-            for step, true_state in zip(result.steps, result.true_states):
-                assert step.belief.get(true_state, 0.0) > 0.0
-
-
 # --- the per-belief decision cache ---------------------------------------------
 
 def fresh_copy(q):
@@ -231,8 +200,6 @@ def cache_configs():
     for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(2, 2)):
         for policy in (MIXTURE, MAXBELIEF, RANDOM):
             yield EpisodeConfig(shape=shape, opponent=UNIFORM, policy=policy, seed=300)
-    yield EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=300,
-                        belief_opponent=EpsilonMinimaxOpponent(0.3))
 
 
 def test_cold_and_warm_cache_give_equal_results(q_uniform):

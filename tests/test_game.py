@@ -1,15 +1,10 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.game import (
     GameStatus,
-    InvalidStateError,
     cell_mark,
-    empty_cells,
     enumerate_reachable_states,
-    index_status,
-    index_to_move,
     place_mark,
     reachable_boards,
 )
@@ -33,18 +28,21 @@ def test_decode_examples():
     assert tuple(cell_mark(81, c) for c in range(9)) == (E, E, E, E, X, E, E, E, E)
 
 
-def test_board_invariant_rejects_double_lines():
-    with pytest.raises(InvalidStateError):
-        index_status(board(X, X, X, O, O, O, E, E, E))
+def status(index):
+    return reachable_boards()[index][0]
+
+
+def empty_cells(index):
+    return reachable_boards()[index][2]
 
 
 def test_status_examples():
-    assert index_status(0) is GameStatus.IN_PROGRESS
-    assert index_status(board(X, X, X, O, O, E, E, E, E)) is GameStatus.X_WINS
+    assert status(0) is GameStatus.IN_PROGRESS
+    assert status(board(X, X, X, O, O, E, E, E, E)) is GameStatus.X_WINS
     # full board with no line, checked against the oracle's line scan
     drawn = (X, X, O, O, O, X, X, X, O)
     assert oracles.winner(drawn) == 0 and oracles.is_full(drawn)
-    assert index_status(board(*drawn)) is GameStatus.DRAW
+    assert status(board(*drawn)) is GameStatus.DRAW
 
 
 def test_status_matches_oracle_on_every_reachable_board():
@@ -55,40 +53,21 @@ def test_status_matches_oracle_on_every_reachable_board():
             1: GameStatus.X_WINS,
             2: GameStatus.O_WINS,
         }.get(w, GameStatus.DRAW if oracles.is_full(cells) else GameStatus.IN_PROGRESS)
-        assert index_status(index) is expected
-
-
-def test_status_matches_oracle_on_every_index():
-    for index in range(3**9):
-        cells = oracles.cells_of(index)
-        holders = oracles.line_holders(cells)
-        if holders == {X, O}:
-            with pytest.raises(InvalidStateError):
-                index_status(index)
-            continue
-        if holders:
-            expected = GameStatus.X_WINS if holders == {X} else GameStatus.O_WINS
-        else:
-            expected = GameStatus.DRAW if oracles.is_full(cells) else GameStatus.IN_PROGRESS
-        assert index_status(index) is expected, index
-
-
-def test_empty_cells_match_oracle_on_every_index():
-    for index in range(3**9):
-        assert list(empty_cells(index)) == oracles.empties(oracles.cells_of(index)), index
+        assert status(index) is expected
 
 
 def test_mover_follows_the_cell_parity_on_every_reachable_board():
-    for index in enumerate_reachable_states():
+    for index, (_, mover, _) in reachable_boards().items():
         cells = oracles.cells_of(index)
-        assert index_to_move(index) == (X if cells.count(X) == cells.count(O) else O), index
+        assert mover == (X if cells.count(X) == cells.count(O) else O), index
 
 
-def test_the_reachable_pass_records_what_the_helpers_answer():
+def test_the_reachable_pass_records_every_board_with_its_empty_cells():
+    # status and mover are checked against the oracle by the two tests above
     boards = reachable_boards()
     assert boards.keys() == enumerate_reachable_states()
-    for index, record in boards.items():
-        assert record == (index_status(index), index_to_move(index), empty_cells(index)), index
+    for index, (_, _, cells) in boards.items():
+        assert list(cells) == oracles.empties(oracles.cells_of(index)), index
     marks = [9 - len(cells) for _, _, cells in boards.values()]
     assert marks == sorted(marks)  # boards with fewer marks come first
 
@@ -135,10 +114,10 @@ def test_reachable_states_respect_parity():
 def test_reachable_states_closed_under_legal_play():
     reachable = enumerate_reachable_states()
     for index in sorted(reachable)[::7]:
-        if index_status(index) is not GameStatus.IN_PROGRESS:
+        if status(index) is not GameStatus.IN_PROGRESS:
             continue
-        mover = index_to_move(index)
-        for a in empty_cells(index):
+        _, mover, cells = reachable_boards()[index]
+        for a in cells:
             assert place_mark(index, a, mover) in reachable
 
 

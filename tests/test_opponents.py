@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from rbtbench.game import empty_cells, enumerate_reachable_states, index_status, index_to_move, GameStatus
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
@@ -27,13 +26,13 @@ def replies(model, index):
     return dict(reply_distribution(model, index))
 
 
-def o_to_move_states(limit=None):
-    states = [
-        i
-        for i in sorted(enumerate_reachable_states())
-        if index_status(i) is GameStatus.IN_PROGRESS and index_to_move(i) == 2
-    ]
-    return states[:limit] if limit else states
+def o_to_move_states():
+    """Every reachable, unfinished board with O to move, from the oracle's own enumeration."""
+    return sorted(
+        oracles.board_index(cells)
+        for cells in oracles.all_reachable_boards()
+        if not oracles.winner(cells) and not oracles.is_full(cells) and cells.count(1) > cells.count(2)
+    )
 
 
 def test_uniform_on_center_opening():
@@ -70,7 +69,7 @@ def test_minimax_splits_ties_uniformly():
         probs = set(dist.values())
         assert len(probs) == 1
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
-        assert set(dist) <= set(empty_cells(index))
+        assert set(dist) <= set(oracles.empties(oracles.cells_of(index)))
 
 
 def test_eps_zero_equals_minimax_and_eps_one_equals_uniform():
@@ -86,7 +85,7 @@ def test_eps_zero_equals_minimax_and_eps_one_equals_uniform():
 def test_eps_mixture_keeps_full_support_with_floor(eps):
     for index in o_to_move_states()[::23]:
         dist = replies(EpsilonMinimaxOpponent(eps), index)
-        legal = empty_cells(index)
+        legal = oracles.empties(oracles.cells_of(index))
         assert set(dist) == set(legal)
         floor = eps / len(legal)
         assert all(p >= floor - 1e-12 for p in dist.values())
@@ -109,6 +108,14 @@ def test_x_to_move_rejected():
         reply_distribution(UniformRandomOpponent(), 0)
 
 
+def test_unreachable_board_rejected():
+    # two X marks and no O: O is "to move" by parity, but legal play never gets here
+    b = board(X, X, E, E, E, E, E, E, E)
+    for model in (UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.5)):
+        with pytest.raises(ValueError, match="not reachable"):
+            reply_distribution(model, b)
+
+
 def test_minimax_agrees_with_oracle_reply_sets():
     for index in o_to_move_states()[::13]:
         cells = oracles.cells_of(index)
@@ -127,15 +134,6 @@ def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
         assert reply_distribution(model, index) == oracles.eps_minimax_reply_tuple(cells, eps)
 
 
-def o_to_move_boards_by_oracle():
-    """Every reachable, unfinished board with O to move, from the oracle's own enumeration."""
-    return sorted(
-        oracles.board_index(cells)
-        for cells in oracles.all_reachable_boards()
-        if not oracles.winner(cells) and not oracles.is_full(cells) and cells.count(1) > cells.count(2)
-    )
-
-
 @pytest.mark.parametrize(
     "model",
     # the eps grid, and two eps values so small that the last reply's share
@@ -147,7 +145,7 @@ def o_to_move_boards_by_oracle():
 def test_reply_probabilities_sum_to_one_within_an_ulp(model):
     # Summed left to right, as reply sampling, predict and the solver add
     # them up: never above 1, and at most one ulp below it.
-    boards = o_to_move_boards_by_oracle()
+    boards = o_to_move_states()
     assert len(boards) == 2097
     for index in boards:
         probs = [p for _, p in reply_distribution(model, index)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rbtbench.belief import WindowShape, initial_belief, predict
 from rbtbench.env import EpisodeConfig, decide, run_episodes
-from rbtbench.game import GameStatus, cell_mark, index_status, index_to_move, enumerate_reachable_states
+from rbtbench.game import GameStatus, cell_mark, reachable_boards
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import (
     MissingQEntryError,
@@ -27,8 +27,8 @@ UNIFORM = UniformRandomOpponent()
 def x_states_by_own_marks():
     """Group X-to-move states by (move count, X-cell set): candidates for one belief."""
     groups = defaultdict(list)
-    for index in sorted(enumerate_reachable_states()):
-        if index_status(index) is not GameStatus.IN_PROGRESS or index_to_move(index) != 1:
+    for index, (status, mover, _) in sorted(reachable_boards().items()):
+        if status is not GameStatus.IN_PROGRESS or mover != 1:
             continue
         cells = oracles.cells_of(index)
         xs = frozenset(i for i, c in enumerate(cells) if c == 1)
@@ -128,7 +128,7 @@ def test_alt_values_uses_only_the_modal_state(q_uniform):
 def test_act_mixture_takes_the_unique_winning_move(q_uniform_cold):
     # X at {0, 1}, O at {3, 4}: only cell 2 wins immediately
     state = 1 + 3 + 2 * 27 + 2 * 81
-    assert index_status(state) is GameStatus.IN_PROGRESS
+    assert reachable_boards()[state][0] is GameStatus.IN_PROGRESS
     decision = decide({state: 1.0}, q_uniform_cold)
     assert decision.a_mix == frozenset({2})
     assert decision.mix_choices == (2,)

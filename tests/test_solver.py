@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from rbtbench.game import (
-    GameStatus,
-    cell_mark,
-    enumerate_reachable_states,
-    index_status,
-    index_to_move,
-    place_mark,
-)
+from rbtbench.game import cell_mark, place_mark
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.solver import (
@@ -30,11 +23,12 @@ import oracles
 
 
 def x_to_move_states():
-    return [
-        i
-        for i in sorted(enumerate_reachable_states())
-        if index_status(i) is GameStatus.IN_PROGRESS and index_to_move(i) == 1
-    ]
+    """The oracle's in-progress boards with as many X as O marks."""
+    return sorted(
+        oracles.board_index(cells)
+        for cells in oracles.all_reachable_boards()
+        if not oracles.winner(cells) and not oracles.is_full(cells) and cells.count(1) == cells.count(2)
+    )
 
 
 def test_entries_cover_exactly_the_x_to_move_states(q_uniform):
@@ -55,7 +49,7 @@ def test_invalid_actions_score_minus_one_and_wins_score_one(q_uniform):
         for a in range(9):
             if cell_mark(index, a) != 0:
                 assert row[a] == -1.0
-            elif index_status(place_mark(index, a, 1)) is GameStatus.X_WINS:
+            elif oracles.winner(oracles.cells_of(place_mark(index, a, 1))) == 1:
                 assert row[a] == 1.0
 
 

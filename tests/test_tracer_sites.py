@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from rbtbench import solver
-from rbtbench.game import GameStatus, enumerate_reachable_states, index_status, index_to_move
+from rbtbench.game import GameStatus, reachable_boards
 from rbtbench.opponents import UniformRandomOpponent
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -42,8 +42,8 @@ def test_solve_q_calls_reply_distribution_once_per_after_x_board(monkeypatch, q_
     q = solver.solve_q(UniformRandomOpponent())
     # every in-progress O-to-move board follows some X move from a decision state
     after_x = {
-        i for i in enumerate_reachable_states()
-        if index_status(i) is GameStatus.IN_PROGRESS and index_to_move(i) == 2
+        i for i, (st, mover, _) in reachable_boards().items()
+        if st is GameStatus.IN_PROGRESS and mover == 2
     }
     assert len(after_x) == 2097
     assert len(calls) == 2097 and set(calls) == after_x

@@ -1,6 +1,6 @@
-"""Run the three perfbench workloads and collect their end-to-end metrics in one JSON file.
+"""Run the three perfbench workloads and the test suite, and collect their numbers in one JSON file.
 
-    python3 tools/bench_json.py --seed 1 --out BENCH_7.json
+    python3 tools/bench_json.py --seed 1 --out BENCH_8.json
 
 Run it from anywhere; it runs ``perfbench/run.py`` from the root of the
 checkout it sits in, once per workload with ``--trace 0``, and reads each
@@ -8,15 +8,21 @@ run's ``.perfbench-work/<workload>/result.json``.  The output holds the run
 environment (Python version, platform, machine, CPUs), the command of each
 run and, per workload, ``correct``, ``attempted``, ``failed`` and the
 end-to-end metrics scaled to the reference host speed, with the raw ones
-beside them.  Standard library only.
+beside them.  It also holds the tier-1 test suite's wall time and pass
+count, the line count of ``src/rbtbench/*.py`` (as ``wc -l`` gives it) and
+the number of public names ``rbtbench`` exports.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +42,32 @@ def run_workload(workload: str, seed: int) -> dict:
     return result
 
 
+def run_tier1() -> dict:
+    """The tier-1 suite's command, exit code, wall time and pass count."""
+    args = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    passed = re.search(r"(\d+) passed", done.stdout)
+    return {"command": " ".join(["PYTHONPATH=src python", *args]), "returncode": done.returncode,
+            "wall_s": round(wall_s, 3), "passed": int(passed.group(1)) if passed else 0}
+
+
+def source_lines() -> int:
+    """``wc -l src/rbtbench/*.py``: newline characters over the package's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "rbtbench").glob("*.py"))
+
+
+def public_names() -> int:
+    """How many public, non-module names ``rbtbench`` exports, counted as ``tests/test_public_api.py`` does."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import rbtbench
+
+    return sum(not name.startswith("_") and not isinstance(getattr(rbtbench, name), types.ModuleType)
+               for name in dir(rbtbench))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -43,10 +75,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = {w: run_workload(w, args.seed) for w in WORKLOADS}
+    tier1 = run_tier1()
     bench = {
         "environment": results[WORKLOADS[0]]["environment"],
         "seed": args.seed,
         "seconds": SECONDS,
+        "tier1": tier1,
+        "source_lines": source_lines(),
+        "public_names": public_names(),
         "workloads": {
             w: {
                 "command": r["command"],
@@ -63,7 +99,8 @@ def main(argv=None) -> int:
     out = ROOT / args.out
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out.relative_to(ROOT)}")
-    return 0 if all(r["correct"] and r["failed"] == 0 for r in results.values()) else 1
+    ok = tier1["returncode"] == 0 and all(r["correct"] and r["failed"] == 0 for r in results.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
