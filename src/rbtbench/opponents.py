@@ -10,15 +10,16 @@ provided:
 * ``EpsilonMinimaxOpponent(eps)`` -- plays uniformly with probability eps and
   minimax otherwise, interpolating between the two above.
 
-Models are frozen values so they can double as cache keys and be shared across
-episode workers.
+Models are frozen values, shared across episode workers and each the key of
+one reply table: ``reply_distribution``, the one entry point, builds a model's
+table for every board O can move on in one pass and looks boards up there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import nextafter
+from math import nextafter, ulp
 from typing import Union
 
 from .game import GameStatus, place_mark, reachable_boards
@@ -49,7 +50,7 @@ def game_value(index: int) -> int:
 
 @dataclass(frozen=True)
 class UniformRandomOpponent:
-    def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
+    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
         cells = reachable_boards()[index][2]
         p = 1.0 / len(cells)
         return tuple((c, p) for c in cells)
@@ -68,7 +69,7 @@ def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
 
 @dataclass(frozen=True)
 class MinimaxOpponent:
-    def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
+    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
         return _minimax_replies(index)
 
 
@@ -80,7 +81,7 @@ class EpsilonMinimaxOpponent:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
 
-    def reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
+    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
         cells = reachable_boards()[index][2]
         base = self.eps / len(cells)
         share = 1.0 - self.eps
@@ -94,12 +95,13 @@ class EpsilonMinimaxOpponent:
             if p > 0.0:
                 probs.append((c, p))
                 total += p
-        # Summed in the order sampling and the solver sum them, rounding can
-        # push the total above 1; then the largest probability gives up one
-        # ulp at a time until it does not (at most four on the eps grid).
-        while total > 1.0:
+        # Summed in the order sampling and the solver sum them, rounding can put the
+        # total above 1, or (eps 3e-16) more than an ulp below it; then the largest
+        # probability moves one ulp toward the gap at a time until it does not (at
+        # most four steps down on the eps grid, one up for eps 2e-16 to 1e-15).
+        while not 1.0 - ulp(1.0) <= total <= 1.0:
             j = max(range(len(probs)), key=lambda i: probs[i][1])
-            probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0))
+            probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0 if total > 1.0 else 2.0))
             total = 0.0
             for _, p in probs:
                 total += p
@@ -110,22 +112,28 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 
 @lru_cache(maxsize=None)
-def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
-    """Cached (cell, probability) pairs for a reachable, O-to-move, non-terminal board index.
+def _reply_table(model: OpponentModel) -> dict[int, tuple[tuple[int, float], ...]]:
+    """Board -> the model's (cell, probability) pairs, for every in-progress O-to-move reachable board."""
+    boards = reachable_boards().items()
+    return {i: model._reply_probs(i) for i, (st, mover, _) in boards if mover == 2 and st is GameStatus.IN_PROGRESS}
 
-    Raises ValueError on a board that legal play from the empty board cannot
-    reach, TerminalStateError on a finished board and ValueError when X is to
-    move; the checks run only on a cache miss.
+
+def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
+    """(cell, probability) pairs for a reachable, O-to-move, non-terminal board index, from the model's table.
+
+    Only a board not in the table is checked, to raise ValueError if legal play cannot reach it,
+    TerminalStateError if it is finished and ValueError if X is to move.
     """
+    try:
+        return _reply_table(model)[index]
+    except KeyError:
+        pass
     record = reachable_boards().get(index)
     if record is None:
         raise ValueError(f"board {index} is not reachable by legal play from the empty board")
-    st, mover, _ = record
-    if st is not GameStatus.IN_PROGRESS:
+    if record[0] is not GameStatus.IN_PROGRESS:
         raise TerminalStateError(f"board {index} is terminal")
-    if mover != 2:
-        raise ValueError(f"board {index} has X to move; the opponent plays O")
-    return model.reply_probs(index)
+    raise ValueError(f"board {index} has X to move; the opponent plays O")
 
 
 def descriptor(model: OpponentModel):

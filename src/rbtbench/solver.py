@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .game import GameStatus, POW3, enumerate_reachable_states, reachable_boards
 from .opponents import OpponentModel, descriptor, from_descriptor, reply_distribution
@@ -158,6 +159,12 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
+    """Read a Q-table as ``save_qtable`` writes it; a bad file fails with a one-line ``CorruptEntryError``.
+
+    After the header and the keys, rows are checked for shape (a list of nine), then type (JSON
+    numbers), then range ([-1, 1]), each check over all rows before the next; the error names the
+    first row in file order that fails the first failing check.  JSON integers are read as floats.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -184,7 +191,17 @@ def load_qtable(path) -> QTable:
     states = _entry_keys()
     if rows.keys() != states.keys():
         raise _key_error(rows.keys())
-    entries = {states[key]: _checked_row(key, row) for key, row in rows.items()}
+    values = rows.values()
+    if set(map(type, values)) != {list} or set(map(len, values)) != {9}:
+        raise _first_bad_row(rows, lambda row: isinstance(row, list) and len(row) == 9, "expected 9 action values")
+    flat = list(chain.from_iterable(values))
+    types = set(map(type, flat))
+    if not types <= {float, int}:  # JSON numbers only; type(True) is bool
+        raise _first_bad_row(rows, lambda row: set(map(type, row)) <= {float, int}, "action values must be numbers")
+    if not _in_range(flat):
+        raise _first_bad_row(rows, _in_range, "value outside [-1, 1]")
+    floats = int not in types
+    entries = {states[key]: row if floats else list(map(float, row)) for key, row in rows.items()}
     return QTable(opponent=payload["opponent"], entries=entries)
 
 
@@ -210,17 +227,15 @@ def _key_error(keys) -> CorruptEntryError:
     )
 
 
-def _checked_row(key: str, row) -> list[float]:
-    """A row of nine JSON numbers in [-1, 1], as floats; anything else fails with the state's key."""
-    if not isinstance(row, list) or len(row) != 9:
-        raise CorruptEntryError(f"state {key}: expected 9 action values")
-    types = set(map(type, row))
-    if not types <= {float, int}:  # JSON numbers only; type(True) is bool
-        raise CorruptEntryError(f"state {key}: action values must be numbers")
-    # NaN fails every comparison, so it is rejected here with the infinities
-    if any(not -1.0 <= v <= 1.0 for v in row):
-        raise CorruptEntryError(f"state {key}: value outside [-1, 1]")
-    return row if types == {float} else list(map(float, row))
+def _in_range(values) -> bool:
+    # NaN fails both comparisons, so it is rejected with the infinities
+    return all(map((-1.0).__le__, values)) and all(map((1.0).__ge__, values))
+
+
+def _first_bad_row(rows: dict, ok, message: str) -> CorruptEntryError:
+    """The error for the first row in file order that ``ok`` rejects."""
+    key = next(key for key, row in rows.items() if not ok(row))
+    return CorruptEntryError(f"state {key}: {message}")
 
 
 def _json_type(value) -> str:

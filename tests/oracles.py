@@ -112,8 +112,9 @@ def eps_minimax_reply_tuple(cells, eps):
 
     The last step is not independent: while the tuple's float sum, taken left
     to right, exceeds 1, its largest probability (the first, on a tie) steps
-    down to the next float, a copy of the library's correction loop.  What
-    that loop must achieve is checked on its own by
+    down to the next float, and while it is below 1 - ulp(1), up to the next
+    float: a copy of the library's correction loop.  What that loop must
+    achieve is checked on its own by
     ``test_reply_probabilities_sum_to_one_within_an_ulp`` and by the pinned
     eps Q-table digests in ``test_golden.py``.
     """
@@ -125,10 +126,10 @@ def eps_minimax_reply_tuple(cells, eps):
             total += p
         return total
 
-    while left_to_right_sum() > 1.0:
+    while not 1.0 - math.ulp(1.0) <= left_to_right_sum() <= 1.0:
         largest = max(p for _, p in probs)
         first = next(pair for pair in probs if pair[1] == largest)
-        first[1] = math.nextafter(largest, 0.0)
+        first[1] = math.nextafter(largest, 0.0 if left_to_right_sum() > 1.0 else 2.0)
     return tuple((i, p) for i, p in probs)
 
 

@@ -124,7 +124,7 @@ def test_minimax_agrees_with_oracle_reply_sets():
         )
 
 
-@pytest.mark.parametrize("eps", [k / 20 for k in range(21)])
+@pytest.mark.parametrize("eps", [k / 20 for k in range(21)] + [3e-16])
 def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
     # episodes with an eps opponent sample from these tuples, which the
     # Q-table digests do not cover
@@ -136,10 +136,11 @@ def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
 
 @pytest.mark.parametrize(
     "model",
-    # the eps grid, and two eps values so small that the last reply's share
-    # is below the rounding error of the others
+    # the eps grid, and three eps values so small that the last reply's
+    # share is below the rounding error of the others (at 3e-16 the plain sum
+    # falls more than an ulp short of 1 on 31 boards)
     [UniformRandomOpponent(), MinimaxOpponent()]
-    + [EpsilonMinimaxOpponent(eps) for eps in [k / 20 for k in range(21)] + [1e-15, 1e-14]],
+    + [EpsilonMinimaxOpponent(eps) for eps in [k / 20 for k in range(21)] + [3e-16, 1e-15, 1e-14]],
     ids=lambda model: descriptor(model) if isinstance(descriptor(model), str) else f"eps{model.eps}",
 )
 def test_reply_probabilities_sum_to_one_within_an_ulp(model):

@@ -163,6 +163,31 @@ def test_load_accepts_only_json_numbers(q_uniform_path, tmp_path, value):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("row", [5, "012345678", None, {str(k): 0.0 for k in range(9)}, [0.0] * 8, [0.0] * 10])
+def test_load_rejects_a_row_that_is_not_nine_values(q_uniform_path, tmp_path, row):
+    # len() fails on the first and third; the string and the object have
+    # nine items, so only the type check rejects them
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["45"] = row
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptEntryError, match="^state 45: expected 9 action values$"):
+        load_qtable(path)
+
+
+def test_load_reports_a_type_fault_before_a_range_fault_in_an_earlier_row(q_uniform_path, tmp_path):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    keys = list(payload["entries"])
+    first, last = keys[0], keys[-1]
+    payload["entries"][first][0] = 1.5
+    payload["entries"][last][0] = "0.5"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    # shape, then type, then range, each over every row: the later row's type fault is named
+    with pytest.raises(CorruptEntryError, match=f"^state {last}: action values must be numbers$"):
+        load_qtable(path)
+
+
 def test_load_reads_json_integers_as_floats(q_uniform, tmp_path):
     payload = {"version": 1, "opponent": "uniform", "gamma": 1.0,
                "entries": {str(i): [int(v) if v.is_integer() else v for v in row]

@@ -1,16 +1,21 @@
 """Run the three perfbench workloads and the test suite, and collect their numbers in one JSON file.
 
-    python3 tools/bench_json.py --seed 1 --out BENCH_8.json
+    python3 tools/bench_json.py --seed 1 --out BENCH_9.json
 
 Run it from anywhere; it runs ``perfbench/run.py`` from the root of the
-checkout it sits in, once per workload with ``--trace 0``, and reads each
-run's ``.perfbench-work/<workload>/result.json``.  The output holds the run
+checkout it sits in, twice per workload, with ``--trace 0`` and then with
+``--trace 1`` (same seed and run length), and reads each run's
+``.perfbench-work/<workload>/result.json``.  The output holds the run
 environment (Python version, platform, machine, CPUs), the command of each
 run and, per workload, ``correct``, ``attempted``, ``failed`` and the
 end-to-end metrics scaled to the reference host speed, with the raw ones
-beside them.  It also holds the tier-1 test suite's wall time and pass
-count, the line count of ``src/rbtbench/*.py`` (as ``wc -l`` gives it) and
-the number of public names ``rbtbench`` exports.  Standard library only.
+beside them, all from the untraced run.  Next to them, ``per_layer`` holds
+the traced run's calls, self time and microseconds per call of each traced
+function and module (``*.calls``, ``*.self_s``, ``*.us_per_call``), and
+``traced`` that run's command, ``correct`` and ``failed``.  It also holds
+the tier-1 test suite's wall time and pass count, the line count of
+``src/rbtbench/*.py`` (as ``wc -l`` gives it) and the number of public
+names ``rbtbench`` exports.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,10 +35,13 @@ WORKLOADS = ("sweep-narrow", "trace-wide", "solve-grid")
 SECONDS = 30  # every BENCH_<n>.json uses the same run length, so files compare
 
 
-def run_workload(workload: str, seed: int) -> dict:
-    """One untraced perfbench run; its result.json, or an error if the run failed."""
+LAYER_SUFFIXES = (".calls", ".self_s", ".us_per_call")
+
+
+def run_workload(workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run; its result.json, or an error if the run failed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(SECONDS), "--trace", "0"]
+               "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(command[1:])} exited with {done.returncode}: {done.stderr[-500:]}")
@@ -74,7 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output path, relative to the checkout root")
     args = parser.parse_args(argv)
 
-    results = {w: run_workload(w, args.seed) for w in WORKLOADS}
+    results = {w: run_workload(w, args.seed, 0) for w in WORKLOADS}
+    traced = {w: run_workload(w, args.seed, 1) for w in WORKLOADS}
     tier1 = run_tier1()
     bench = {
         "environment": results[WORKLOADS[0]]["environment"],
@@ -92,6 +101,8 @@ def main(argv=None) -> int:
                 "passes": len(r["passes"]),
                 "end_to_end": r["end_to_end"],
                 "raw_end_to_end": r["raw_end_to_end"],
+                "per_layer": {k: v for k, v in traced[w]["per_layer"].items() if k.endswith(LAYER_SUFFIXES)},
+                "traced": {k: traced[w][k] for k in ("command", "correct", "failed")},
             }
             for w, r in results.items()
         },
@@ -99,7 +110,8 @@ def main(argv=None) -> int:
     out = ROOT / args.out
     out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out.relative_to(ROOT)}")
-    ok = tier1["returncode"] == 0 and all(r["correct"] and r["failed"] == 0 for r in results.values())
+    runs = [*results.values(), *traced.values()]
+    ok = tier1["returncode"] == 0 and all(r["correct"] and r["failed"] == 0 for r in runs)
     return 0 if ok else 1
 
 
