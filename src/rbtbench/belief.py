@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .game import Action, GameStatus, POW3, cell_mark, reachable_boards
+from .game import Action, POW3, transitions
 from .opponents import OpponentModel, reply_distribution
 
 Belief = dict[int, float]
@@ -149,18 +149,20 @@ def _normalized(mass: dict[int, float]) -> Belief:
 
 
 def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Belief:
-    """Push a belief on reachable X-to-move boards through our move and the reply, given the episode continued."""
-    boards = reachable_boards()
+    """Push a belief on reachable X-to-move boards through our move and the reply, given the episode continued.
+
+    Moves and replies come from ``game.transitions()``; one that ends the episode carries no mass.
+    """
+    moves, replies = transitions()
     mass: dict[int, float] = {}
     for index, p in belief.items():
-        if cell_mark(index, agent_action) != 0:
-            continue  # our move was valid, so this state was not the real one
-        after_x = index + POW3[agent_action]
-        if boards[after_x][0] is not GameStatus.IN_PROGRESS:
-            continue  # we did not win or fill the board
+        after_x = moves[index][1].get(agent_action)
+        if after_x is None:
+            continue  # our move was valid and did not end the game, so this state was not the real one
+        succ = replies[after_x]
         for reply, rp in reply_distribution(opponent, after_x):
-            after_o = after_x + 2 * POW3[reply]
-            if boards[after_o][0] is GameStatus.IN_PROGRESS:
+            after_o = succ[reply]
+            if after_o >= 0:  # the reply did not end the game
                 mass[after_o] = mass.get(after_o, 0.0) + p * rp
     if not mass:
         raise EmptySupportError(

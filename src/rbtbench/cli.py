@@ -226,12 +226,13 @@ def observation_rows(obs: Observation) -> list[str]:
     return ["".join(r) for r in grid]
 
 
-def _columns(blocks: list[list[str]], per_row: int = 8, col_w: int = 10) -> list[str]:
+def _columns(blocks: list[list[str]]) -> list[str]:
+    """Blocks of text side by side, eight to a row, each padded to ten columns."""
     lines: list[str] = []
-    for start in range(0, len(blocks), per_row):
-        chunk = blocks[start:start + per_row]
+    for start in range(0, len(blocks), 8):
+        chunk = blocks[start:start + 8]
         for line_i in range(max(len(b) for b in chunk)):
-            lines.append("  " + "".join(b[line_i].ljust(col_w) for b in chunk).rstrip())
+            lines.append("  " + "".join(b[line_i].ljust(10) for b in chunk).rstrip())
         lines.append("")
     return lines
 
@@ -288,18 +289,16 @@ def _check_episodes(episodes: int) -> None:
         raise ValueError(f"--episodes must be at least 2 (the 95% CI needs two returns), got {episodes}")
 
 
-def _window_label(flag: str, text: str) -> str:
-    """Normalized HxW label; a bad one fails before any episode runs."""
-    label = text.strip().lower()
+def _window_shape(flag: str, text: str) -> WindowShape:
+    """The window an HxW flag value names; a bad one fails before any episode runs."""
     try:
-        WindowShape.from_label(label)
+        return WindowShape.from_label(text.strip().lower())
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
-    return label
 
 
 def _run_cell(
-    q: QTable, window: str, shape: WindowShape, policy: str, episodes: int, seed: int
+    q: QTable, shape: WindowShape, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
     config = EpisodeConfig(
         shape=shape,
@@ -309,14 +308,14 @@ def _run_cell(
     )
     results = run_episodes(config, q, episodes)
     mean, ci = mean_ci95([r.total_return for r in results])
-    return SweepRow(window=window, policy=policy, episodes=episodes, mean_return=mean, ci95=ci), results
+    return SweepRow(window=shape.label, policy=policy, episodes=episodes, mean_return=mean, ci95=ci), results
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    window = _window_label("--window", args.window)
+    shape = _window_shape("--window", args.window)
     _check_episodes(args.episodes)
     q, _ = _load_q(args)
-    row, results = _run_cell(q, window, WindowShape.from_label(window), args.policy, args.episodes, args.seed)
+    row, results = _run_cell(q, shape, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
     if args.out:
@@ -328,22 +327,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    windows = [_window_label("--windows", w) for w in args.windows.split(",") if w.strip()]
-    if not windows:
+    # one shape per window: both cells share its placements' reads
+    shapes = [_window_shape("--windows", w) for w in args.windows.split(",") if w.strip()]
+    if not shapes:
         raise ValueError(f"--windows must list at least one HxW window, got {args.windows!r}")
     _check_episodes(args.episodes)
     q, q_path = _load_q(args)
     os.makedirs(args.out_dir, exist_ok=True)
     rows: list[SweepRow] = []
     timestep_rows: list[tuple] = []
-    for window in windows:
-        shape = WindowShape.from_label(window)  # one per window: both cells share its placements' reads
+    for shape in shapes:
         for policy in (MIXTURE, MAXBELIEF):
-            row, results = _run_cell(q, window, shape, policy, args.episodes, args.seed)
+            row, results = _run_cell(q, shape, policy, args.episodes, args.seed)
             rows.append(row)
             if policy == MIXTURE:
                 for agg in aggregate_by_timestep(results):
-                    timestep_rows.append((window, POLICY_PAIR, agg))
+                    timestep_rows.append((shape.label, POLICY_PAIR, agg))
             print(sweep_row_line(row))
     write_returns_csv(os.path.join(args.out_dir, "returns.csv"), rows)
     write_timestep_csv(os.path.join(args.out_dir, "timestep_metrics.csv"), timestep_rows)
@@ -352,7 +351,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     manifest = {  # everything needed to reproduce the sweep bit for bit
         "tool": "rbt-bench", "version": 1, "tool_version": __version__,
         "qtable": q_path, "qtable_sha256": qtable_digest(q_path), "opponent": q.opponent,
-        "windows": windows, "policies": [MIXTURE, MAXBELIEF], "episodes": args.episodes, "seed": args.seed,
+        "windows": [shape.label for shape in shapes], "policies": [MIXTURE, MAXBELIEF],
+        "episodes": args.episodes, "seed": args.seed,
     }
     with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -362,10 +362,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    window = _window_label("--window", args.window)
+    shape = _window_shape("--window", args.window)
     q, _ = _load_q(args)
     config = EpisodeConfig(
-        shape=WindowShape.from_label(window),
+        shape=shape,
         opponent=q.opponent_model(),
         policy=MIXTURE,
         seed=args.seed,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from random import Random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .belief import (
     Belief,
@@ -38,7 +38,7 @@ from .belief import (
     predict,
     update,
 )
-from .game import Action, GameStatus, cell_mark, place_mark, reachable_boards
+from .game import DRAW, O_WINS, Action, transitions
 from .metrics import iou
 from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -167,10 +167,16 @@ def _root(q: QTable) -> Node:
     return node
 
 
+# How an episode ends: by X's action, keyed on its reward in ``ends``, or by
+# O's reply, keyed on its code in the reply table.
+_ENDED_BY_X = {-1.0: Outcome.INVALID_MOVE, 1.0: Outcome.WIN, 0.0: Outcome.DRAW}
+_ENDED_BY_O = {O_WINS: (-1.0, Outcome.LOSS), DRAW: (0.0, Outcome.DRAW)}
+
+
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     board = 0
-    boards = reachable_boards()  # play is legal from the empty board, so every board is in it
+    moves, replies = transitions()
     node = _root(q)
     steps: list[StepRecord] = []
     true_states: list[int] = []
@@ -193,24 +199,14 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         else:
             action = rng.randrange(9)
 
-        reward = 0.0
-        outcome: Optional[Outcome] = None
-        if cell_mark(board, action) != 0:
-            reward, outcome = -1.0, Outcome.INVALID_MOVE
+        ends, after_x = moves[board]
+        board = after_x.get(action)
+        if board is None:
+            reward = ends[action]
+            outcome = _ENDED_BY_X[reward]
         else:
-            board = place_mark(board, action, 1)
-            st = boards[board][0]
-            if st is GameStatus.X_WINS:
-                reward, outcome = 1.0, Outcome.WIN
-            elif st is GameStatus.DRAW:
-                reward, outcome = 0.0, Outcome.DRAW
-            else:
-                board = place_mark(board, _sample_reply(config.opponent, board, rng), 2)
-                st = boards[board][0]
-                if st is GameStatus.O_WINS:
-                    reward, outcome = -1.0, Outcome.LOSS
-                elif st is GameStatus.DRAW:
-                    reward, outcome = 0.0, Outcome.DRAW
+            board = replies[board][_sample_reply(config.opponent, board, rng)]
+            reward, outcome = _ENDED_BY_O.get(board, (0.0, None))
 
         steps.append(
             StepRecord(

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import nextafter, ulp
 from typing import Union
 
-from .game import GameStatus, place_mark, reachable_boards
+from .game import GameStatus, place_mark, reachable_boards, transitions
 
 
 class TerminalStateError(ValueError):
@@ -113,9 +113,8 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 @lru_cache(maxsize=None)
 def _reply_table(model: OpponentModel) -> dict[int, tuple[tuple[int, float], ...]]:
-    """Board -> the model's (cell, probability) pairs, for every in-progress O-to-move reachable board."""
-    boards = reachable_boards().items()
-    return {i: model._reply_probs(i) for i, (st, mover, _) in boards if mover == 2 and st is GameStatus.IN_PROGRESS}
+    """Board -> the model's (cell, probability) pairs, for every board O can move on: the after-X boards of the rules."""
+    return {i: model._reply_probs(i) for i in transitions()[1]}
 
 
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:

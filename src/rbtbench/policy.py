@@ -41,15 +41,15 @@ def mixture_values(belief: Belief, q: QTable) -> ActionValues:
     return values
 
 
-def argmax_set(values: Sequence[float], tol: float = ARGMAX_TOL) -> ActionSet:
-    """All actions whose value is within `tol` of the maximum."""
-    cutoff = max(values) - tol
+def argmax_set(values: Sequence[float]) -> ActionSet:
+    """All actions whose value is within `ARGMAX_TOL` of the maximum."""
+    cutoff = max(values) - ARGMAX_TOL
     return frozenset(a for a, v in enumerate(values) if v >= cutoff)
 
 
-def max_belief_states(belief: Belief, tol: float = ARGMAX_TOL) -> frozenset[int]:
-    """States carrying (within `tol`) the maximal belief mass."""
-    cutoff = max(belief.values()) - tol
+def max_belief_states(belief: Belief) -> frozenset[int]:
+    """States carrying (within `ARGMAX_TOL`) the maximal belief mass."""
+    cutoff = max(belief.values()) - ARGMAX_TOL
     return frozenset(s for s, p in belief.items() if p >= cutoff)
 
 

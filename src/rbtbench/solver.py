@@ -18,8 +18,9 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from math import isnan
 
-from .game import GameStatus, POW3, enumerate_reachable_states, reachable_boards
+from .game import DRAW, O_WINS, enumerate_reachable_states, transitions
 from .opponents import OpponentModel, descriptor, from_descriptor, reply_distribution
 
 FORMAT_VERSION = 1
@@ -58,85 +59,35 @@ class QTable:
 @lru_cache(maxsize=None)
 def decision_states() -> frozenset[int]:
     """Reachable, in-progress boards with X to move: exactly the keys of a Q-table."""
-    reachable = enumerate_reachable_states()  # called first, so the one pass in game runs inside it
-    boards = reachable_boards()
-    return frozenset(i for i in reachable if boards[i][:2] == (GameStatus.IN_PROGRESS, 1))
-
-
-# Successor codes in an after-X board's reply table that are not boards.
-_O_WINS = -1
-_DRAW = -2
-
-
-@lru_cache(maxsize=None)
-def _solve_plan() -> tuple[tuple, dict[int, tuple[int, ...]]]:
-    """The opponent-independent part of ``solve_q``, built once per import.
-
-    Returns ``(rows, replies)``.  ``rows`` lists every decision state with the
-    fewest empty cells first, so each row's successors come before it, as
-    ``(index, template, open_moves)``: ``template`` holds the fixed value of
-    each occupied (-1), winning (+1) or board-filling (0) action, and
-    ``open_moves`` pairs every other action with its in-progress after-X
-    board.  ``replies`` maps each such board to a nine-slot tuple holding,
-    for each cell O may reply on, the after-O board, ``_O_WINS`` or
-    ``_DRAW``.  Statuses and empty cells come from game's records.  Every
-    solve shares the plan and only reads it.
-    """
-    states = decision_states()
-    boards = reachable_boards()
-    rows = []
-    templates: dict[tuple[float, ...], tuple[float, ...]] = {}  # 69 distinct; shared
-    replies: dict[int, tuple[int, ...]] = {}
-    for index in sorted(states, key=lambda i: (len(boards[i][2]), i)):
-        template = [-1.0] * 9
-        open_moves = []
-        for action in boards[index][2]:
-            after_x = index + POW3[action]  # X mark = digit 1
-            st, _, reply_cells = boards[after_x]
-            if st is GameStatus.X_WINS:
-                template[action] = 1.0
-            elif st is GameStatus.DRAW:
-                template[action] = 0.0
-            else:
-                open_moves.append((action, after_x))
-                if after_x not in replies:
-                    succ = [_DRAW] * 9
-                    for reply in reply_cells:
-                        after_o = after_x + 2 * POW3[reply]  # O mark = digit 2
-                        st2 = boards[after_o][0]
-                        if st2 is GameStatus.O_WINS:
-                            succ[reply] = _O_WINS
-                        elif st2 is not GameStatus.DRAW:
-                            succ[reply] = after_o
-                    replies[after_x] = tuple(succ)
-        template = templates.setdefault(tuple(template), tuple(template))
-        rows.append((index, template, tuple(open_moves)))
-    return tuple(rows), replies
+    enumerate_reachable_states()  # called first, so the one pass in game runs inside it
+    return frozenset(transitions()[0])
 
 
 def solve_q(opponent: OpponentModel) -> QTable:
     """Solve Q(s, a) exactly for every X-to-move, non-terminal reachable board.
 
-    Walks the plan bottom-up: each after-X expectation is computed once, from
-    the already solved values of its after-O boards.  Reply probabilities add
-    up, in this order, to at most 1, so no expectation leaves [-1, 1].
+    Walks ``game.transitions()`` bottom-up: a row starts from the state's
+    episode-ending rewards, and each after-X expectation is computed once,
+    from the already solved values of its after-O boards.  Reply
+    probabilities add up, in this order, to at most 1, so no expectation
+    leaves [-1, 1].
     """
-    rows, replies = _solve_plan()
+    moves, replies = transitions()
     entries: dict[int, list[float]] = {}
     values: dict[int, float] = {}  # decision state -> max-action value
     expectations: dict[int, float] = {}  # after-X board -> expected value
-    for index, template, open_moves in rows:
-        row = list(template)
-        for action, after_x in open_moves:
+    for index, (ends, after_xs) in moves.items():
+        row = list(ends)
+        for action, after_x in after_xs.items():
             total = expectations.get(after_x)
             if total is None:
                 succ = replies[after_x]
                 total = 0.0
                 for reply, p in reply_distribution(opponent, after_x):
                     after_o = succ[reply]
-                    if after_o == _O_WINS:
+                    if after_o == O_WINS:
                         total -= p
-                    elif after_o != _DRAW:
+                    elif after_o != DRAW:
                         total += p * values[after_o]
                 expectations[after_x] = total
             row[action] = total
@@ -228,8 +179,8 @@ def _key_error(keys) -> CorruptEntryError:
 
 
 def _in_range(values) -> bool:
-    # NaN fails both comparisons, so it is rejected with the infinities
-    return all(map((-1.0).__le__, values)) and all(map((1.0).__ge__, values))
+    # an infinity fails a bound; a NaN fails neither but makes the sum NaN
+    return min(values) >= -1.0 and max(values) <= 1.0 and not isnan(sum(values))
 
 
 def _first_bad_row(rows: dict, ok, message: str) -> CorruptEntryError:
@@ -244,11 +195,11 @@ def _json_type(value) -> str:
     return names.get(type(value), "null")
 
 
-def _listed(states: list[int], shown: int = 5) -> str:
+def _listed(states: list[int]) -> str:
     if not states:
         return "none"
-    more = ", ..." if len(states) > shown else ""
-    return f"{len(states)} ({', '.join(map(str, states[:shown]))}{more})"
+    more = ", ..." if len(states) > 5 else ""
+    return f"{len(states)} ({', '.join(map(str, states[:5]))}{more})"
 
 
 def qtable_digest(path) -> str:

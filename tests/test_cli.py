@@ -54,6 +54,15 @@ def test_run_appends_a_csv_row(q_uniform_path, tmp_path, capsys):
     assert float(ci95) >= 0.0
 
 
+def test_run_writes_the_canonical_window_label(q_uniform_path, tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    for window in ("01x1", "+1X1", " 1x1 "):
+        assert run_cli("run", "--q", q_uniform_path, "--window", window, "--episodes", "2",
+                       "--out", str(csv)) == 0
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == ["1x1"] * 3
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1::2]] == ["1x1"] * 3
+
+
 def test_run_full_window_policies_coincide(q_uniform_path, tmp_path):
     csv = tmp_path / "rows.csv"
     for policy in ("mixture", "maxbelief"):

@@ -1,13 +1,19 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.game import (
+    DRAW,
+    O_WINS,
     GameStatus,
     cell_mark,
     enumerate_reachable_states,
     place_mark,
     reachable_boards,
+    transitions,
 )
+from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent, _reply_table
+from rbtbench.solver import decision_states
 
 import oracles
 
@@ -124,3 +130,52 @@ def test_reachable_states_closed_under_legal_play():
 @given(st.sampled_from(sorted(enumerate_reachable_states())))
 def test_round_trip_on_reachable_boards(index):
     assert oracles.board_index(tuple(cell_mark(index, c) for c in range(9))) == index
+
+
+def x_to_move_states():
+    """The oracle's in-progress boards with as many X as O marks."""
+    return [
+        oracles.board_index(cells)
+        for cells in oracles.all_reachable_boards()
+        if not oracles.winner(cells) and not oracles.is_full(cells) and cells.count(X) == cells.count(O)
+    ]
+
+
+def test_transitions_have_the_shape_solve_q_walks():
+    moves, replies = transitions()
+    # every decision state once, fewest empty cells first, then by index
+    assert len(moves) == 2423
+    by_empties = sorted(x_to_move_states(), key=lambda i: (len(oracles.empties(oracles.cells_of(i))), i))
+    assert list(moves) == by_empties
+    # one reply table per in-progress after-X board, and one shared tuple per distinct `ends`
+    assert len(replies) == 2097
+    assert replies.keys() == {after_x for _, after in moves.values() for after_x in after.values()}
+    assert len({id(ends) for ends, _ in moves.values()}) == len({ends for ends, _ in moves.values()}) == 69
+    for index, (ends, after) in moves.items():
+        cells = oracles.cells_of(index)
+        assert list(after) == sorted(after)
+        for action in range(9):
+            after_x = oracles.put(cells, action, X)
+            if cells[action] != E:
+                assert ends[action] == -1.0 and action not in after
+            elif oracles.winner(after_x) == X:
+                assert ends[action] == 1.0 and action not in after
+            elif oracles.is_full(after_x):
+                assert ends[action] == 0.0 and action not in after
+            else:
+                assert after[action] == oracles.board_index(after_x)
+    for after_x, succ in replies.items():
+        cells = oracles.cells_of(after_x)
+        for reply in oracles.empties(cells):
+            after_o = oracles.put(cells, reply, O)
+            expected = O_WINS if oracles.winner(after_o) == O else DRAW if oracles.is_full(after_o) else None
+            assert succ[reply] == (expected if expected is not None else oracles.board_index(after_o))
+
+
+def test_decision_states_are_the_keys_of_moves():
+    assert decision_states() == frozenset(transitions()[0])
+
+
+@pytest.mark.parametrize("model", [UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.3)])
+def test_each_reply_table_covers_exactly_the_after_x_boards(model):
+    assert _reply_table(model).keys() == transitions()[1].keys()

@@ -87,7 +87,7 @@ def test_argmax_set_examples():
     assert argmax_set([1.0] + [0.0] * 8) == frozenset({0})
     assert argmax_set([0.5] * 9) == frozenset(range(9))
     values = [0.5, 0.5 - 1e-12] + [0.0] * 7
-    assert argmax_set(values, tol=1e-9) == frozenset({0, 1})
+    assert argmax_set(values) == frozenset({0, 1})
 
 
 @given(

@@ -8,11 +8,8 @@ from rbtbench.game import cell_mark, place_mark
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.solver import (
-    _DRAW,
-    _O_WINS,
     CorruptEntryError,
     FormatVersionMismatchError,
-    _solve_plan,
     decision_states,
     load_qtable,
     save_qtable,
@@ -248,37 +245,6 @@ def write_entries(path, q, drop=(), add=()):
     entries = {str(i): row for i, row in q.entries.items() if i not in drop}
     entries.update({str(i): [0.0] * 9 for i in add})
     path.write_text(json.dumps({"version": 1, "opponent": q.opponent, "gamma": 1.0, "entries": entries}))
-
-
-def test_the_plan_has_the_shape_solve_q_walks():
-    rows, replies = _solve_plan()
-    # every decision state once, fewest empty cells first, then by index
-    assert len(rows) == 2423
-    by_empties = sorted(decision_states(), key=lambda i: (len(oracles.empties(oracles.cells_of(i))), i))
-    assert [index for index, _, _ in rows] == by_empties
-    # one reply table per in-progress after-X board, and one shared tuple per distinct template
-    assert len(replies) == 2097
-    assert replies.keys() == {after_x for _, _, moves in rows for _, after_x in moves}
-    assert len({id(template) for _, template, _ in rows}) == len({template for _, template, _ in rows}) == 69
-    for index, template, moves in rows:
-        cells = oracles.cells_of(index)
-        open_actions = dict(moves)
-        for action in range(9):
-            after = oracles.put(cells, action, 1)
-            if cells[action] != 0:
-                assert template[action] == -1.0
-            elif oracles.winner(after) == 1:
-                assert template[action] == 1.0
-            elif oracles.is_full(after):
-                assert template[action] == 0.0
-            else:
-                assert open_actions[action] == oracles.board_index(after)
-    for after_x, succ in replies.items():
-        cells = oracles.cells_of(after_x)
-        for reply in oracles.empties(cells):
-            after_o = oracles.put(cells, reply, 2)
-            expected = _O_WINS if oracles.winner(after_o) == 2 else _DRAW if oracles.is_full(after_o) else None
-            assert succ[reply] == (expected if expected is not None else oracles.board_index(after_o))
 
 
 def test_load_rejects_a_table_missing_states(q_uniform, tmp_path):
