@@ -61,8 +61,11 @@ def parse_opponent(text: str) -> OpponentModel:
     if text == "minimax":
         return MinimaxOpponent()
     if text.startswith("eps:"):
-        return EpsilonMinimaxOpponent(eps=float(text[4:]))
-    raise ValueError(f"unknown opponent {text!r} (expected uniform, minimax, or eps:<p>)")
+        try:
+            return EpsilonMinimaxOpponent(eps=float(text[4:]))
+        except ValueError:
+            pass
+    raise ValueError(f"--opponent must be uniform, minimax or eps:<p> with p in [0, 1], got {text!r}")
 
 
 def _fmt(value: float) -> str:
@@ -314,6 +317,9 @@ def _run_cell(
 def cmd_run(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     _check_episodes(args.episodes)
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):  # fail before any episode runs
+            raise ValueError(f"{flag}: the directory of {path!r} does not exist")
     q, _ = _load_q(args)
     row, results = _run_cell(q, shape, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)

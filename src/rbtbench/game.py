@@ -17,7 +17,7 @@ and a board outside them is not a legal position.
 ``transitions`` turns the records into the move rules, the one place that
 knows them: X marks a cell, then either the episode ends (invalid move, win
 or draw) or O replies and it may end (loss or draw).  The solver, the belief
-filter's prediction and the episode loop all read that table.
+filter's prediction, the episode loop and the minimax values all read it.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class GameStatus(Enum):
 def cell_mark(index: int, cell: int) -> int:
     """Digit (0 empty / 1 X / 2 O) of one cell, straight from the encoding."""
     return index // POW3[cell] % 3
-
-
-def place_mark(index: int, cell: int, mark: int) -> int:
-    """Successor index after marking an *empty* cell; caller guarantees emptiness."""
-    return index + mark * POW3[cell]
 
 
 def _status(x: int, o: int) -> GameStatus:

@@ -1,8 +1,9 @@
 """Evaluation metrics: action-set IoU, per-timestep aggregation, return CIs.
 
 The per-step IoU and value margin come from ``env.decide``.  The margin
-compares the two policies on the mixture value scale (the best computable
-stand-in for the true belief value, which is intractable): the mixture value
+compares the two policies on the mixture value scale (computable at every
+step, unlike the Bayes-optimal belief value, which needs a search over
+beliefs): the mixture value
 of the mixture policy's choice minus the expected mixture value of a uniform
 choice from the max-belief set, nonnegative up to the argmax tolerance.
 """

@@ -5,8 +5,8 @@ board to a probability distribution over its legal replies.  Three models are
 provided:
 
 * ``UniformRandomOpponent`` -- every legal reply equally likely.
-* ``MinimaxOpponent`` -- game-theoretic best replies from a full-depth search,
-  ties split uniformly.
+* ``MinimaxOpponent`` -- game-theoretic best replies, read off the minimax
+  values of the whole game, ties split uniformly.
 * ``EpsilonMinimaxOpponent(eps)`` -- plays uniformly with probability eps and
   minimax otherwise, interpolating between the two above.
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import nextafter, ulp
 from typing import Union
 
-from .game import GameStatus, place_mark, reachable_boards, transitions
+from .game import DRAW, O_WINS, reachable_boards, transitions
 
 
 class TerminalStateError(ValueError):
@@ -30,22 +30,20 @@ class TerminalStateError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def game_value(index: int) -> int:
-    """Minimax value of a board from X's perspective: +1, 0, or -1.
+def game_value() -> dict[int, int]:
+    """Minimax value (+1, 0 or -1 for X) of every decision state and after-X board, bottom-up over ``transitions()``.
 
-    X maximizes, O minimizes; terminal boards score win/loss/draw directly.
-    The board must be reachable: its status, mover and empty cells are read
-    from game's records, and any other board raises KeyError.
+    O takes the min over its legal replies, X the max over ``ends`` and its after-X boards.
     """
-    st, mover, cells = reachable_boards()[index]
-    if st is GameStatus.X_WINS:
-        return 1
-    if st is GameStatus.O_WINS:
-        return -1
-    if st is GameStatus.DRAW:
-        return 0
-    child_values = [game_value(place_mark(index, c, mover)) for c in cells]
-    return max(child_values) if mover == 1 else min(child_values)
+    moves, replies = transitions()
+    boards = reachable_boards()
+    values = {O_WINS: -1, DRAW: 0}
+    for index, (ends, after_x) in moves.items():  # fewest empty cells first: successors are known
+        for board in after_x.values():
+            if board not in values:
+                values[board] = min(values[replies[board][c]] for c in boards[board][2])
+        values[index] = int(max(*ends, *(values[board] for board in after_x.values())))
+    return values
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,10 @@ class UniformRandomOpponent:
 
 @lru_cache(maxsize=None)
 def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
-    """O's game-theoretic best replies on a board, ties split uniformly."""
-    cells = reachable_boards()[index][2]
-    values = [game_value(place_mark(index, c, 2)) for c in cells]
-    best = min(values)  # O minimizes X's value
-    winners = [c for c, v in zip(cells, values) if v == best]
+    """O's game-theoretic best replies on an after-X board, ties split uniformly."""
+    values = game_value()
+    succ = transitions()[1][index]
+    winners = [c for c in reachable_boards()[index][2] if values[succ[c]] == values[index]]
     p = 1.0 / len(winners)
     return tuple((c, p) for c in winners)
 
@@ -127,10 +124,9 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
         return _reply_table(model)[index]
     except KeyError:
         pass
-    record = reachable_boards().get(index)
-    if record is None:
+    if index not in reachable_boards():
         raise ValueError(f"board {index} is not reachable by legal play from the empty board")
-    if record[0] is not GameStatus.IN_PROGRESS:
+    if index not in transitions()[0]:
         raise TerminalStateError(f"board {index} is terminal")
     raise ValueError(f"board {index} has X to move; the opponent plays O")
 

@@ -60,15 +60,7 @@ def alt_values(belief: Belief, q: QTable) -> ActionValues:
     the modal states is discarded, not renormalized.
     """
     top = max_belief_states(belief)
-    weight = 1.0 / len(top)
-    values = [0.0] * 9
-    entries = q.entries
-    for state in top:
-        row = entries.get(state)
-        if row is None:
-            raise MissingQEntryError(state)
-        values = [v + weight * r for v, r in zip(values, row)]
-    return values
+    return mixture_values(dict.fromkeys(top, 1.0 / len(top)), q)
 
 
 def mean_value(values: ActionValues, actions: ActionSet) -> float:

@@ -121,7 +121,7 @@ def load_qtable(path) -> QTable:
     if not isinstance(payload, dict):
         raise CorruptEntryError(f"a Q-table file holds a JSON object, this one holds {_json_type(payload)}")
     version = payload.get("version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1 in Python
         raise FormatVersionMismatchError(
             f"expected version {FORMAT_VERSION}, file has {version!r}"
         )

@@ -47,6 +47,11 @@ def cells_of(index):
     return tuple(index // 3**i % 3 for i in range(9))
 
 
+def place(index, i, mark):
+    """The board index after `mark` goes on cell `i` of board `index`."""
+    return board_index(put(cells_of(index), i, mark))
+
+
 def all_reachable_boards():
     """Distinct boards reachable by alternating play from the empty board (X first)."""
     seen = set()

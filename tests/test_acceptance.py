@@ -29,7 +29,7 @@ import pytest
 from rbtbench.belief import WindowShape
 from rbtbench.cli import step_to_json
 from rbtbench.env import MAXBELIEF, MIXTURE, EpisodeConfig, run_episodes
-from rbtbench.game import cell_mark, place_mark
+from rbtbench.game import cell_mark
 from rbtbench.metrics import aggregate_by_timestep, mean_ci95
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import ARGMAX_TOL, alt_values, argmax_set, mixture_values
@@ -209,7 +209,7 @@ def test_5_solver_matches_naive_expectimax(q_uniform, q_minimax):
         for a in range(9):
             if cell_mark(index, a) != 0:
                 assert row[a] == -1.0
-            elif oracles.winner(oracles.cells_of(place_mark(index, a, 1))) == 1:
+            elif oracles.winner(oracles.put(oracles.cells_of(index), a, 1)) == 1:
                 assert row[a] == 1.0
 
     report(5, "solver == naive expectimax (1e-12); minimax draw; exact ±1 boundaries",

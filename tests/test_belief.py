@@ -15,7 +15,7 @@ from rbtbench.belief import (
     update,
 )
 from rbtbench.env import EpisodeConfig, run_episodes
-from rbtbench.game import GameStatus, place_mark, reachable_boards
+from rbtbench.game import GameStatus, reachable_boards
 from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
 
 import oracles
@@ -235,17 +235,17 @@ def test_two_by_two_reaches_the_five_state_profile():
     target = [0.125, 0.125, 0.25, 0.25, 0.25]
     boards = reachable_boards()  # board -> (status, mover, empty cells)
     for a0 in range(9):
-        b0 = place_mark(0, a0, 1)
+        b0 = oracles.place(0, a0, 1)
         for r0 in boards[b0][2]:
-            b1 = place_mark(b0, r0, 2)
+            b1 = oracles.place(b0, r0, 2)
             for pl1 in shape.placements():
                 bel1 = update(predict(initial_belief(), a0, UNIFORM), pl1.observe(b1))
                 for a1 in boards[b1][2]:
-                    b2 = place_mark(b1, a1, 1)
+                    b2 = oracles.place(b1, a1, 1)
                     if boards[b2][0] is not GameStatus.IN_PROGRESS:
                         continue
                     for r1 in boards[b2][2]:
-                        b3 = place_mark(b2, r1, 2)
+                        b3 = oracles.place(b2, r1, 2)
                         if boards[b3][0] is not GameStatus.IN_PROGRESS:
                             continue
                         for pl2 in shape.placements():

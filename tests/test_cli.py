@@ -265,6 +265,30 @@ def test_replay_names_the_flag_of_a_bad_window(q_uniform_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_run_into_a_missing_directory_fails_before_any_episode(flag, q_uniform_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_episodes", lambda *args: pytest.fail("an episode ran"))
+    paths = {"--out": tmp_path / "rows.csv", "--trace": tmp_path / "steps.jsonl"}
+    paths[flag] = tmp_path / "missing" / paths[flag].name
+    argv = ["run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "5"]
+    for f, path in paths.items():
+        argv += [f, str(path)]
+    assert run_cli(*argv) == 1
+    err = one_line_error(capsys)
+    assert err.startswith(f"error: {flag}: ") and repr(str(paths[flag])) in err
+    assert capsys.readouterr().out == ""
+    assert not any(path.exists() for path in paths.values())  # no row appended, no trace written
+
+
+@pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta"])
+def test_solve_with_a_bad_opponent_names_the_flag_and_the_value(spec, tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert run_cli("solve", "--opponent", spec, "--out", str(out)) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: --opponent ") and "eps:<p>" in err and repr(spec) in err
+    assert not out.exists()
+
+
 def test_episodes_below_two_is_an_error(q_uniform_path, tmp_path, capsys):
     for episodes in ("1", "0", "-3"):
         commands = (
@@ -352,6 +376,7 @@ MISSING = object()
     pytest.param("gamma", [1.0], "got [1.0]", id="gamma-array"),
     pytest.param("gamma", True, "got true", id="gamma-boolean"),
     pytest.param("gamma", 0.5, "got 0.5", id="gamma-half"),
+    pytest.param("version", True, "expected version 1", id="version-boolean"),
 ])
 def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uniform_path, tmp_path, capsys):
     payload = json.loads(open(q_uniform_path, encoding="utf-8").read())

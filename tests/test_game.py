@@ -8,7 +8,6 @@ from rbtbench.game import (
     GameStatus,
     cell_mark,
     enumerate_reachable_states,
-    place_mark,
     reachable_boards,
     transitions,
 )
@@ -25,8 +24,9 @@ def board(*cells):
 
 
 def test_encode_examples():
-    assert place_mark(0, 0, X) == board(X, E, E, E, E, E, E, E, E) == 1
-    assert place_mark(0, 4, X) == board(E, E, E, E, X, E, E, E, E) == 81
+    after_x = transitions()[0][0][1]  # the empty board's X moves
+    assert after_x[0] == board(X, E, E, E, E, E, E, E, E) == 1
+    assert after_x[4] == board(E, E, E, E, X, E, E, E, E) == 81
 
 
 def test_decode_examples():
@@ -85,16 +85,18 @@ def test_valid_actions_examples():
 
 
 def test_apply_action_examples():
-    b = place_mark(0, 4, X)
+    moves, replies = transitions()
+    b = moves[0][1][4]
     assert b == board(E, E, E, E, X, E, E, E, E)
     assert 4 not in empty_cells(b)  # a second mark on 4 is not a legal move
-    b2 = place_mark(b, 0, O)
+    b2 = replies[b][0]
     assert b2 == board(O, E, E, E, X, E, E, E, E)
+    assert moves[b2][0][4] == -1.0 and 4 not in moves[b2][1]  # X on 4 again ends the episode
 
 
 def test_apply_action_changes_only_the_target():
     b = board(X, E, O, E, X, E, E, E, E)
-    after = place_mark(b, 7, O)
+    after = transitions()[1][b][7]
     for i in range(9):
         if i == 7:
             assert cell_mark(after, i) == O
@@ -119,12 +121,15 @@ def test_reachable_states_respect_parity():
 
 def test_reachable_states_closed_under_legal_play():
     reachable = enumerate_reachable_states()
-    for index in sorted(reachable)[::7]:
-        if status(index) is not GameStatus.IN_PROGRESS:
-            continue
-        _, mover, cells = reachable_boards()[index]
-        for a in cells:
-            assert place_mark(index, a, mover) in reachable
+    moves, replies = transitions()
+    for index, (ends, after_x) in moves.items():
+        assert index in reachable
+        # every legal X move either ends the episode with a win or a draw, or has an after-X board
+        assert {a for a, r in enumerate(ends) if r != -1.0} | after_x.keys() == set(empty_cells(index))
+        for board in after_x.values():
+            assert board in reachable
+            # every O reply that does not end the game is a decision state again
+            assert all(succ in moves for succ in replies[board] if succ not in (O_WINS, DRAW))
 
 
 @given(st.sampled_from(sorted(enumerate_reachable_states())))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rbtbench.game import transitions
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
@@ -9,6 +10,7 @@ from rbtbench.opponents import (
     UniformRandomOpponent,
     descriptor,
     from_descriptor,
+    game_value,
     reply_distribution,
 )
 
@@ -117,11 +119,19 @@ def test_unreachable_board_rejected():
 
 
 def test_minimax_agrees_with_oracle_reply_sets():
-    for index in o_to_move_states()[::13]:
+    for index in o_to_move_states():
         cells = oracles.cells_of(index)
         assert replies(MinimaxOpponent(), index) == dict(
             oracles.reply_probs(cells, "minimax")
         )
+
+
+def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_board():
+    moves, replies = transitions()
+    values = game_value()
+    for index in (*moves, *replies):  # the after-X boards too
+        assert values[index] == oracles.minimax_value(oracles.cells_of(index)), index
+    assert values[0] == 0  # perfect play draws
 
 
 @pytest.mark.parametrize("eps", [k / 20 for k in range(21)] + [3e-16])

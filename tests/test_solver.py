@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rbtbench.game import cell_mark, place_mark
+from rbtbench.game import cell_mark
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.solver import (
@@ -46,7 +46,7 @@ def test_invalid_actions_score_minus_one_and_wins_score_one(q_uniform):
         for a in range(9):
             if cell_mark(index, a) != 0:
                 assert row[a] == -1.0
-            elif oracles.winner(oracles.cells_of(place_mark(index, a, 1))) == 1:
+            elif oracles.winner(oracles.put(oracles.cells_of(index), a, 1)) == 1:
                 assert row[a] == 1.0
 
 
