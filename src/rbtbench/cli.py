@@ -122,10 +122,30 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) builds one per call
+
+
 def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
+    """One line per step, equal to ``json.dumps(step_to_json(episode, step), sort_keys=True)``.
+
+    Most steps repeat an earlier step's content and differ only in chosen_action,
+    episode, reward and t, which sorted keys put around two constant pieces: each
+    content is encoded once and its pieces cached.  iou and margin are keyed by
+    repr, since 0.0 == -0.0 but JSON writes them apart.
+    """
+    pieces: dict[tuple, tuple[str, str]] = {}
     for episode, result in enumerate(results):
         for step in result.steps:
-            fh.write(json.dumps(step_to_json(episode, step), sort_keys=True) + "\n")
+            key = (step.observation.key, step.a_mix, step.a_max, repr(step.iou), repr(step.margin),
+                   step.belief_support_size, *step.belief, *step.belief.values())
+            cut = pieces.get(key)
+            if cut is None:
+                line = _ENCODER.encode(step_to_json(episode, step))
+                fh.write(line + "\n")
+                pieces[key] = (line[:line.rindex('"chosen_action": ') + 17],  # rindex: skip the belief
+                               line[line.rindex(', "iou": '):line.rindex('"reward": ') + 10])
+            else:
+                fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{step.reward!r}, "t": {step.t}}}\n')
 
 
 # --- SVG chart --------------------------------------------------------------
@@ -270,8 +290,17 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
 
 # --- subcommands ------------------------------------------------------------
 
+def _check_out_path(flag: str, path: Optional[str]) -> None:
+    """An output path must name a file in an existing directory; checked before any work."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag}: the directory of {path!r} does not exist")
+    if path and os.path.isdir(path):
+        raise ValueError(f"{flag}: {path!r} is a directory")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     opponent = parse_opponent(args.opponent)
+    _check_out_path("--out", args.out)
     q = solve_q(opponent)
     save_qtable(q, args.out)
     print(f"solved {len(q.entries)} states against opponent {args.opponent}")
@@ -303,12 +332,7 @@ def _window_shape(flag: str, text: str) -> WindowShape:
 def _run_cell(
     q: QTable, shape: WindowShape, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
-    config = EpisodeConfig(
-        shape=shape,
-        opponent=q.opponent_model(),
-        policy=policy,
-        seed=seed,
-    )
+    config = EpisodeConfig(shape=shape, opponent=q.opponent_model(), policy=policy, seed=seed)
     results = run_episodes(config, q, episodes)
     mean, ci = mean_ci95([r.total_return for r in results])
     return SweepRow(window=shape.label, policy=policy, episodes=episodes, mean_return=mean, ci95=ci), results
@@ -317,9 +341,8 @@ def _run_cell(
 def cmd_run(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     _check_episodes(args.episodes)
-    for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):  # fail before any episode runs
-            raise ValueError(f"{flag}: the directory of {path!r} does not exist")
+    _check_out_path("--out", args.out)
+    _check_out_path("--trace", args.trace)
     q, _ = _load_q(args)
     row, results = _run_cell(q, shape, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)
@@ -370,12 +393,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     q, _ = _load_q(args)
-    config = EpisodeConfig(
-        shape=shape,
-        opponent=q.opponent_model(),
-        policy=MIXTURE,
-        seed=args.seed,
-    )
+    config = EpisodeConfig(shape=shape, opponent=q.opponent_model(), policy=MIXTURE, seed=args.seed)
     [result] = run_episodes(config, q, 1)
     for step, true_state in zip(result.steps, result.true_states):
         values = mixture_values(step.belief, q)

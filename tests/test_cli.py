@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import math
 import re
@@ -7,7 +9,7 @@ import pytest
 from rbtbench import cli
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
 from rbtbench.cli import main, step_to_json
-from rbtbench.env import EpisodeConfig, StepRecord, run_episodes
+from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.solver import load_qtable
 
@@ -111,6 +113,46 @@ def test_trace_jsonl_round_trips(q_uniform_path, tmp_path, q_uniform):
         assert got_episode == episode
         assert got_step == step  # lossless, floats included
         assert json.dumps(step_to_json(got_episode, got_step), sort_keys=True) == line
+
+
+def trace_lines(results) -> list[str]:
+    buf = io.StringIO()
+    cli.write_trace(buf, results)
+    return buf.getvalue().splitlines()
+
+
+def reference_lines(results) -> list[str]:
+    return [json.dumps(step_to_json(e, s), sort_keys=True) for e, r in enumerate(results) for s in r.steps]
+
+
+def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
+    results = run_episodes(
+        EpisodeConfig(shape=WindowShape(1, 1), opponent=UniformRandomOpponent(), seed=5), q_uniform, 300)
+    lines = trace_lines(results)
+    assert lines == reference_lines(results)
+    # multi-board beliefs whose keys sort as strings ("10" before "9"), and many repeated step contents
+    assert any(list(json.loads(line)["belief"]) != sorted(json.loads(line)["belief"], key=int) for line in lines)
+    contents = {re.sub(r'"(chosen_action|episode|reward|t)": [^,}]+', "", line) for line in lines}
+    assert len(contents) < len(lines) / 2
+
+
+def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
+    runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), opponent=q.opponent_model(), seed=1), q, 40)
+            for q in (q_uniform, q_minimax)]
+    mixed = [r for pair in zip(*runs) for r in pair]
+    assert trace_lines(mixed) == reference_lines(mixed)
+
+
+def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
+    placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=1, width=1))
+    step = StepRecord(t=0, observation=Observation(placement=placement, contents=(0,)), belief={0: 1.0},
+                      belief_support_size=1, a_mix=frozenset({4}), a_max=frozenset({4}), iou=1.0, margin=0.0,
+                      chosen_action=4, reward=0.0)
+    results = [EpisodeResult(steps=[step, dataclasses.replace(step, margin=-0.0)], total_return=0.0,
+                             outcome=Outcome.DRAW)]
+    lines = trace_lines(results)
+    assert lines == reference_lines(results)
+    assert lines[0] != lines[1] and '"margin": -0.0' in lines[1]
 
 
 def test_sweep_outputs(q_uniform_path, tmp_path):
@@ -265,19 +307,47 @@ def test_replay_names_the_flag_of_a_bad_window(q_uniform_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flag", ["--out", "--trace"])
-def test_run_into_a_missing_directory_fails_before_any_episode(flag, q_uniform_path, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flag, is_directory", [
+    pytest.param("--out", False, id="--out"),
+    pytest.param("--trace", False, id="--trace"),
+    pytest.param("--out", True, id="--out-is-a-directory"),
+    pytest.param("--trace", True, id="--trace-is-a-directory"),
+])
+def test_run_into_a_missing_directory_fails_before_any_episode(flag, is_directory, q_uniform_path, tmp_path, capsys,
+                                                               monkeypatch):
     monkeypatch.setattr(cli, "run_episodes", lambda *args: pytest.fail("an episode ran"))
     paths = {"--out": tmp_path / "rows.csv", "--trace": tmp_path / "steps.jsonl"}
     paths[flag] = tmp_path / "missing" / paths[flag].name
+    if is_directory:
+        paths[flag].mkdir(parents=True)
     argv = ["run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "5"]
     for f, path in paths.items():
         argv += [f, str(path)]
     assert run_cli(*argv) == 1
     err = one_line_error(capsys)
     assert err.startswith(f"error: {flag}: ") and repr(str(paths[flag])) in err
+    assert ("is a directory" in err) == is_directory
     assert capsys.readouterr().out == ""
-    assert not any(path.exists() for path in paths.values())  # no row appended, no trace written
+    assert not any(path.is_file() for path in paths.values())  # no row appended, no trace written
+    if is_directory:
+        assert list(paths[flag].iterdir()) == []
+
+
+@pytest.mark.parametrize("is_directory", [False, True], ids=["missing-directory", "is-a-directory"])
+def test_solve_into_a_bad_out_path_fails_before_solving(is_directory, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_q", lambda *args: pytest.fail("the table was solved"))
+    out = tmp_path / "nodir" / "q.json"
+    if is_directory:
+        out.mkdir(parents=True)
+    assert run_cli("solve", "--opponent", "uniform", "--out", str(out)) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: --out: ") and repr(str(out)) in err
+    assert ("is a directory" in err) == is_directory
+    assert capsys.readouterr().out == ""
+    if is_directory:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.parent.exists()  # nothing written
 
 
 @pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta"])
