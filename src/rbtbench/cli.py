@@ -38,12 +38,7 @@ from .env import (
 )
 from .game import cell_mark
 from .metrics import SweepRow, aggregate_by_timestep, mean_ci95
-from .opponents import (
-    EpsilonMinimaxOpponent,
-    MinimaxOpponent,
-    OpponentModel,
-    UniformRandomOpponent,
-)
+from .opponents import OpponentModel, from_descriptor
 from .policy import mixture_values
 from .solver import QTable, load_qtable, qtable_digest, save_qtable, solve_q
 
@@ -56,16 +51,10 @@ MARK_CHARS = ".XO"  # indexed by cell digit: empty, X, O
 
 
 def parse_opponent(text: str) -> OpponentModel:
-    if text == "uniform":
-        return UniformRandomOpponent()
-    if text == "minimax":
-        return MinimaxOpponent()
-    if text.startswith("eps:"):
-        try:
-            return EpsilonMinimaxOpponent(eps=float(text[4:]))
-        except ValueError:
-            pass
-    raise ValueError(f"--opponent must be uniform, minimax or eps:<p> with p in [0, 1], got {text!r}")
+    try:
+        return from_descriptor({"eps_minimax": float(text[4:])} if text.startswith("eps:") else text)
+    except ValueError:
+        raise ValueError(f"--opponent must be uniform, minimax or eps:<p> with p in [0, 1], got {text!r}") from None
 
 
 def _fmt(value: float) -> str:
@@ -111,7 +100,7 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
             "width": step.observation.placement.shape.width,
             "contents": list(step.observation.contents),
         },
-        "belief": {str(s): p for s, p in step.belief.items()},
+        "belief": {str(s): float(p) for s, p in step.belief.items()},
         "belief_support_size": step.belief_support_size,
         "a_mix": sorted(step.a_mix),
         "a_max": sorted(step.a_max),
@@ -332,7 +321,7 @@ def _window_shape(flag: str, text: str) -> WindowShape:
 def _run_cell(
     q: QTable, shape: WindowShape, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
-    config = EpisodeConfig(shape=shape, opponent=q.opponent_model(), policy=policy, seed=seed)
+    config = EpisodeConfig(shape=shape, opponent=q.opponent, policy=policy, seed=seed)
     results = run_episodes(config, q, episodes)
     mean, ci = mean_ci95([r.total_return for r in results])
     return SweepRow(window=shape.label, policy=policy, episodes=episodes, mean_return=mean, ci95=ci), results
@@ -360,6 +349,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     shapes = [_window_shape("--windows", w) for w in args.windows.split(",") if w.strip()]
     if not shapes:
         raise ValueError(f"--windows must list at least one HxW window, got {args.windows!r}")
+    labels = [shape.label for shape in shapes]
+    for label in labels:
+        if labels.count(label) > 1:  # a repeated cell would write its rows twice
+            raise ValueError(f"--windows lists the window {label} more than once, got {args.windows!r}")
     _check_episodes(args.episodes)
     q, q_path = _load_q(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -379,8 +372,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fh.write(render_returns_svg(rows))
     manifest = {  # everything needed to reproduce the sweep bit for bit
         "tool": "rbt-bench", "version": 1, "tool_version": __version__,
-        "qtable": q_path, "qtable_sha256": qtable_digest(q_path), "opponent": q.opponent,
-        "windows": [shape.label for shape in shapes], "policies": [MIXTURE, MAXBELIEF],
+        "qtable": q_path, "qtable_sha256": qtable_digest(q_path), "opponent": q.opponent.descriptor,
+        "windows": labels, "policies": [MIXTURE, MAXBELIEF],
         "episodes": args.episodes, "seed": args.seed,
     }
     with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -393,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     q, _ = _load_q(args)
-    config = EpisodeConfig(shape=shape, opponent=q.opponent_model(), policy=MIXTURE, seed=args.seed)
+    config = EpisodeConfig(shape=shape, opponent=q.opponent, policy=MIXTURE, seed=args.seed)
     [result] = run_episodes(config, q, 1)
     for step, true_state in zip(result.steps, result.true_states):
         values = mixture_values(step.belief, q)

@@ -1,14 +1,14 @@
 """Opponent move models.
 
 The opponent sees the whole board, so each model maps a reachable O-to-move
-board to a probability distribution over its legal replies.  Three models are
-provided:
+board to a probability distribution over its legal replies.  One rule,
+``_replies(eps, index)``, plays uniformly with probability eps and minimax
+(game-theoretic best replies, ties split uniformly) otherwise; the three
+models are its eps:
 
-* ``UniformRandomOpponent`` -- every legal reply equally likely.
-* ``MinimaxOpponent`` -- game-theoretic best replies, read off the minimax
-  values of the whole game, ties split uniformly.
-* ``EpsilonMinimaxOpponent(eps)`` -- plays uniformly with probability eps and
-  minimax otherwise, interpolating between the two above.
+* ``UniformRandomOpponent`` -- eps 1, every legal reply equally likely.
+* ``MinimaxOpponent`` -- eps 0, read off the minimax values of the whole game.
+* ``EpsilonMinimaxOpponent(eps)`` -- any eps in [0, 1].
 
 Models are frozen values, shared across episode workers and each the key of
 one reply table: ``reply_distribution``, the one entry point, builds a model's
@@ -46,14 +46,6 @@ def game_value() -> dict[int, int]:
     return values
 
 
-@dataclass(frozen=True)
-class UniformRandomOpponent:
-    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        cells = reachable_boards()[index][2]
-        p = 1.0 / len(cells)
-        return tuple((c, p) for c in cells)
-
-
 @lru_cache(maxsize=None)
 def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
     """O's game-theoretic best replies on an after-X board, ties split uniformly."""
@@ -64,10 +56,45 @@ def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
     return tuple((c, p) for c in winners)
 
 
+def _replies(eps: float, index: int) -> tuple[tuple[int, float], ...]:
+    """(cell, probability) pairs for O on an after-X board under the reply rule with this eps."""
+    cells = reachable_boards()[index][2]
+    base = eps / len(cells)
+    share = 1.0 - eps
+    best = dict(_minimax_replies(index)) if share else {}  # uniform needs no game_value
+    probs = []
+    total = 0.0
+    for c in cells:
+        # eps / n plus (1 - eps) * p, in this order: Q-tables and episode
+        # sampling depend on these exact floats
+        p = base + share * best[c] if c in best else base
+        if p > 0.0:
+            probs.append((c, p))
+            total += p
+    # Summed in the order sampling and the solver sum them, rounding can put the
+    # total above 1, or (eps 3e-16) more than an ulp below it; then the largest
+    # probability moves one ulp toward the gap at a time until it does not (at
+    # most four steps down on the eps grid, one up for eps 2e-16 to 1e-15).
+    while not 1.0 - ulp(1.0) <= total <= 1.0:
+        j = max(range(len(probs)), key=lambda i: probs[i][1])
+        probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0 if total > 1.0 else 2.0))
+        total = 0.0
+        for _, p in probs:
+            total += p
+    return tuple(probs)
+
+
+# eps (for _replies) and descriptor (the Q-table header tag) are class constants, not fields
+@dataclass(frozen=True)
+class UniformRandomOpponent:
+    eps = 1.0
+    descriptor = "uniform"
+
+
 @dataclass(frozen=True)
 class MinimaxOpponent:
-    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        return _minimax_replies(index)
+    eps = 0.0
+    descriptor = "minimax"
 
 
 @dataclass(frozen=True)
@@ -78,31 +105,7 @@ class EpsilonMinimaxOpponent:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
 
-    def _reply_probs(self, index: int) -> tuple[tuple[int, float], ...]:
-        cells = reachable_boards()[index][2]
-        base = self.eps / len(cells)
-        share = 1.0 - self.eps
-        best = dict(_minimax_replies(index))
-        probs = []
-        total = 0.0
-        for c in cells:
-            # eps / n plus (1 - eps) * p, in this order: Q-tables and episode
-            # sampling depend on these exact floats
-            p = base + share * best[c] if c in best else base
-            if p > 0.0:
-                probs.append((c, p))
-                total += p
-        # Summed in the order sampling and the solver sum them, rounding can put the
-        # total above 1, or (eps 3e-16) more than an ulp below it; then the largest
-        # probability moves one ulp toward the gap at a time until it does not (at
-        # most four steps down on the eps grid, one up for eps 2e-16 to 1e-15).
-        while not 1.0 - ulp(1.0) <= total <= 1.0:
-            j = max(range(len(probs)), key=lambda i: probs[i][1])
-            probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0 if total > 1.0 else 2.0))
-            total = 0.0
-            for _, p in probs:
-                total += p
-        return tuple(probs)
+    descriptor = property(lambda self: {"eps_minimax": self.eps})
 
 
 OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOpponent]
@@ -111,7 +114,7 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 @lru_cache(maxsize=None)
 def _reply_table(model: OpponentModel) -> dict[int, tuple[tuple[int, float], ...]]:
     """Board -> the model's (cell, probability) pairs, for every board O can move on: the after-X boards of the rules."""
-    return {i: model._reply_probs(i) for i in transitions()[1]}
+    return {i: _replies(model.eps, i) for i in transitions()[1]}
 
 
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
@@ -129,17 +132,6 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
     if index not in transitions()[0]:
         raise TerminalStateError(f"board {index} is terminal")
     raise ValueError(f"board {index} has X to move; the opponent plays O")
-
-
-def descriptor(model: OpponentModel):
-    """JSON-compatible tag identifying a model (used in Q-table headers)."""
-    if isinstance(model, UniformRandomOpponent):
-        return "uniform"
-    if isinstance(model, MinimaxOpponent):
-        return "minimax"
-    if isinstance(model, EpsilonMinimaxOpponent):
-        return {"eps_minimax": model.eps}
-    raise TypeError(f"unknown opponent model {model!r}")
 
 
 def from_descriptor(desc) -> OpponentModel:

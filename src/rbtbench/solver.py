@@ -21,7 +21,7 @@ from itertools import chain
 from math import isnan
 
 from .game import DRAW, O_WINS, enumerate_reachable_states, transitions
-from .opponents import OpponentModel, descriptor, from_descriptor, reply_distribution
+from .opponents import OpponentModel, from_descriptor, reply_distribution
 
 FORMAT_VERSION = 1
 
@@ -44,16 +44,13 @@ class QTable:
     it).  To change values, build a new ``QTable``.
     """
 
-    opponent: object  # descriptor: "uniform" | "minimax" | {"eps_minimax": p}
+    opponent: OpponentModel  # the model the values were solved against; its header tag is opponent.descriptor
     entries: dict[int, list[float]] = field(default_factory=dict)
     # env's belief-transition graph and per-belief decisions
     _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def state_value(self, state_index: int) -> float:
         return max(self.entries[state_index])
-
-    def opponent_model(self) -> OpponentModel:
-        return from_descriptor(self.opponent)
 
 
 @lru_cache(maxsize=None)
@@ -93,14 +90,14 @@ def solve_q(opponent: OpponentModel) -> QTable:
             row[action] = total
         entries[index] = row
         values[index] = max(row)
-    return QTable(opponent=descriptor(opponent), entries=entries)
+    return QTable(opponent=opponent, entries=entries)
 
 
 def save_qtable(q: QTable, path) -> None:
     """Write a Q-table as versioned JSON; float repr round-trips exactly."""
     payload = {
         "version": FORMAT_VERSION,
-        "opponent": q.opponent,
+        "opponent": q.opponent.descriptor,
         "gamma": 1.0,  # values are undiscounted; load_qtable accepts no other
         "entries": {str(i): row for i, row in q.entries.items()},  # sorted by sort_keys
     }
@@ -128,7 +125,7 @@ def load_qtable(path) -> QTable:
     if "opponent" not in payload:
         raise CorruptEntryError('the Q-table header has no "opponent"')
     try:
-        from_descriptor(payload["opponent"])  # validates the header tag
+        opponent = from_descriptor(payload["opponent"])
     except ValueError as exc:
         raise CorruptEntryError(f'"opponent": {exc}') from None
     gamma = payload.get("gamma")
@@ -153,7 +150,7 @@ def load_qtable(path) -> QTable:
         raise _first_bad_row(rows, _in_range, "value outside [-1, 1]")
     floats = int not in types
     entries = {states[key]: row if floats else list(map(float, row)) for key, row in rows.items()}
-    return QTable(opponent=payload["opponent"], entries=entries)
+    return QTable(opponent=opponent, entries=entries)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from rbtbench import cli
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
 from rbtbench.cli import main, step_to_json
 from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
-from rbtbench.opponents import UniformRandomOpponent
+from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent
 from rbtbench.solver import load_qtable
 
 
@@ -24,7 +24,7 @@ def test_solve_minimax_reports_a_draw(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "solved 2423 states" in stdout
     assert "empty-board value: 0\n" in stdout
-    assert load_qtable(out).opponent == "minimax"
+    assert load_qtable(out).opponent == MinimaxOpponent()
 
 
 def test_solve_uniform_reports_a_positive_value(tmp_path, capsys):
@@ -37,7 +37,7 @@ def test_solve_uniform_reports_a_positive_value(tmp_path, capsys):
 def test_solve_eps_round_trips(tmp_path):
     out = tmp_path / "q.json"
     assert run_cli("solve", "--opponent", "eps:0.25", "--out", str(out)) == 0
-    assert load_qtable(out).opponent == {"eps_minimax": 0.25}
+    assert load_qtable(out).opponent == EpsilonMinimaxOpponent(0.25)
 
 
 def test_run_appends_a_csv_row(q_uniform_path, tmp_path, capsys):
@@ -137,22 +137,38 @@ def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
 
 
 def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
-    runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), opponent=q.opponent_model(), seed=1), q, 40)
+    runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), opponent=q.opponent, seed=1), q, 40)
             for q in (q_uniform, q_minimax)]
     mixed = [r for pair in zip(*runs) for r in pair]
     assert trace_lines(mixed) == reference_lines(mixed)
 
 
-def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
+def one_cell_step() -> StepRecord:
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=1, width=1))
-    step = StepRecord(t=0, observation=Observation(placement=placement, contents=(0,)), belief={0: 1.0},
+    return StepRecord(t=0, observation=Observation(placement=placement, contents=(0,)), belief={0: 1.0},
                       belief_support_size=1, a_mix=frozenset({4}), a_max=frozenset({4}), iou=1.0, margin=0.0,
                       chosen_action=4, reward=0.0)
+
+
+def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
+    step = one_cell_step()
     results = [EpisodeResult(steps=[step, dataclasses.replace(step, margin=-0.0)], total_return=0.0,
                              outcome=Outcome.DRAW)]
     lines = trace_lines(results)
     assert lines == reference_lines(results)
     assert lines[0] != lines[1] and '"margin": -0.0' in lines[1]
+
+
+def test_trace_memo_writes_an_int_probability_as_step_to_json_does():
+    # 1 == 1.0 and both hash alike, so the two steps share one memo entry
+    step = one_cell_step()
+    for first, second in ((1.0, 1), (1, 1.0)):
+        results = [EpisodeResult(steps=[dataclasses.replace(step, belief={0: first}),
+                                        dataclasses.replace(step, belief={0: second})],
+                                 total_return=0.0, outcome=Outcome.DRAW)]
+        lines = trace_lines(results)
+        assert lines == reference_lines(results)
+        assert all('"belief": {"0": 1.0}' in line for line in lines)
 
 
 def test_sweep_outputs(q_uniform_path, tmp_path):
@@ -298,6 +314,14 @@ def test_sweep_rejects_a_bad_window_before_running_any_cell(q_uniform_path, tmp_
     assert "--windows" in err and "'4x1'" in err
     assert capsys.readouterr().out == ""  # the valid 1x1 cell did not run
     assert not out.exists()
+    # a window listed twice, under any spelling, would run its cells twice
+    for windows, label in (("2x2,2X2", "2x2"), ("1x1,01x1", "1x1"), ("1x1,2x1, 2x1 ", "2x1")):
+        assert run_cli("sweep", "--q", q_uniform_path, "--windows", windows, "--episodes", "5",
+                       "--out-dir", str(out)) == 1
+        err = one_line_error(capsys)
+        assert err.startswith("error: --windows ") and f" {label} " in err and repr(windows) in err
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 def test_replay_names_the_flag_of_a_bad_window(q_uniform_path, capsys):
@@ -350,12 +374,12 @@ def test_solve_into_a_bad_out_path_fails_before_solving(is_directory, tmp_path, 
         assert not out.parent.exists()  # nothing written
 
 
-@pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta"])
+@pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta", "eps:x", "eps:nan", "eps_minimax"])
 def test_solve_with_a_bad_opponent_names_the_flag_and_the_value(spec, tmp_path, capsys):
     out = tmp_path / "q.json"
     assert run_cli("solve", "--opponent", spec, "--out", str(out)) == 1
     err = one_line_error(capsys)
-    assert err.startswith("error: --opponent ") and "eps:<p>" in err and repr(spec) in err
+    assert err.startswith("error: --opponent must be uniform, minimax or eps:<p> ") and repr(spec) in err
     assert not out.exists()
 
 

@@ -8,8 +8,9 @@ from rbtbench.opponents import (
     MinimaxOpponent,
     TerminalStateError,
     UniformRandomOpponent,
-    descriptor,
     from_descriptor,
+    _minimax_replies,
+    _reply_table,
     game_value,
     reply_distribution,
 )
@@ -118,12 +119,24 @@ def test_unreachable_board_rejected():
             reply_distribution(model, b)
 
 
-def test_minimax_agrees_with_oracle_reply_sets():
-    for index in o_to_move_states():
+@pytest.mark.parametrize("model, kind", [(UniformRandomOpponent(), "uniform"), (MinimaxOpponent(), "minimax")],
+                         ids=["uniform", "minimax"])
+def test_minimax_agrees_with_oracle_reply_sets(model, kind):
+    # the ordered (cell, probability) tuples, on every O-to-move board
+    boards = o_to_move_states()
+    assert len(boards) == 2097
+    for index in boards:
         cells = oracles.cells_of(index)
-        assert replies(MinimaxOpponent(), index) == dict(
-            oracles.reply_probs(cells, "minimax")
-        )
+        assert reply_distribution(model, index) == tuple(oracles.reply_probs(cells, kind)), index
+
+
+def test_uniform_reply_table_does_not_compute_game_values():
+    # a uniform-only run must not pay for the minimax values of the whole game
+    game_value.cache_clear()
+    _minimax_replies.cache_clear()
+    _reply_table.__wrapped__(UniformRandomOpponent())
+    assert game_value.cache_info().currsize == 0
+    assert _minimax_replies.cache_info().currsize == 0
 
 
 def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_board():
@@ -151,7 +164,7 @@ def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
     # falls more than an ulp short of 1 on 31 boards)
     [UniformRandomOpponent(), MinimaxOpponent()]
     + [EpsilonMinimaxOpponent(eps) for eps in [k / 20 for k in range(21)] + [3e-16, 1e-15, 1e-14]],
-    ids=lambda model: descriptor(model) if isinstance(descriptor(model), str) else f"eps{model.eps}",
+    ids=lambda model: model.descriptor if isinstance(model.descriptor, str) else f"eps{model.eps}",
 )
 def test_reply_probabilities_sum_to_one_within_an_ulp(model):
     # Summed left to right, as reply sampling, predict and the solver add
@@ -170,6 +183,6 @@ def test_reply_probabilities_sum_to_one_within_an_ulp(model):
 
 def test_descriptor_round_trip():
     for model in (UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.25)):
-        assert from_descriptor(descriptor(model)) == model
+        assert from_descriptor(model.descriptor) == model
     with pytest.raises(ValueError):
         from_descriptor("alphabeta")

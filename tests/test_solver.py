@@ -244,7 +244,7 @@ def test_decision_states_are_the_2423_x_to_move_boards():
 def write_entries(path, q, drop=(), add=()):
     entries = {str(i): row for i, row in q.entries.items() if i not in drop}
     entries.update({str(i): [0.0] * 9 for i in add})
-    path.write_text(json.dumps({"version": 1, "opponent": q.opponent, "gamma": 1.0, "entries": entries}))
+    path.write_text(json.dumps({"version": 1, "opponent": q.opponent.descriptor, "gamma": 1.0, "entries": entries}))
 
 
 def test_load_rejects_a_table_missing_states(q_uniform, tmp_path):
