@@ -299,10 +299,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_q(args: argparse.Namespace) -> tuple[QTable, str]:
-    path = args.q or os.environ.get("RBT_QTABLE")
+    flag, path = ("--q", args.q) if args.q else ("RBT_QTABLE", os.environ.get("RBT_QTABLE"))
     if not path:
         raise ValueError("no Q-table: pass --q PATH or set RBT_QTABLE")
-    return load_qtable(path), path
+    try:
+        return load_qtable(path), path
+    except (OSError, ValueError) as exc:  # one line that names where the path came from
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ValueError(f"{flag}: {path!r}: {reason}") from None
 
 
 def _check_episodes(episodes: int) -> None:

@@ -2,6 +2,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbtbench.belief import (
     EmptySupportError,
@@ -253,3 +255,49 @@ def test_two_by_two_reaches_the_five_state_profile():
                             if sorted(round(p, 9) for p in bel2.values()) == target:
                                 return
     pytest.fail("no 2-decision history reaches the five-state profile")
+
+
+# --- update against brute force ---------------------------------------------------
+
+DECISION_STATES = sorted(
+    i for i, (status, mover, _) in reachable_boards().items()
+    if status is GameStatus.IN_PROGRESS and mover == 1
+)
+SHAPES = [(h, w) for h in (1, 2, 3) for w in (1, 2, 3)]
+POSITIVE = st.floats(min_value=1e-6, max_value=1.0)
+
+
+@pytest.mark.parametrize("h,w", SHAPES, ids=[f"{h}x{w}" for h, w in SHAPES])
+@settings(max_examples=40)
+@given(
+    picks=st.lists(st.integers(min_value=0, max_value=2422), min_size=1, max_size=21, unique=True),
+    weights=st.lists(POSITIVE, min_size=21, max_size=21),
+    in_prior=st.booleans(),
+    seen=st.integers(min_value=0, max_value=2422),
+)
+def test_update_equals_a_brute_force_filter_on_every_placement(h, w, picks, weights, in_prior, seen):
+    prior = {DECISION_STATES[i]: p for i, p in zip(picks, weights)}  # drawn order: often unsorted
+    true = DECISION_STATES[picks[seen % len(picks)]] if in_prior else DECISION_STATES[seen]
+    for top, left in product(range(4 - h), range(4 - w)):
+        cells = WindowPlacement(top=top, left=left, shape=WindowShape(h, w)).cells()
+        contents = tuple(oracles.cells_of(true)[c] for c in cells)
+        matched = {s: p for s, p in prior.items() if tuple(oracles.cells_of(s)[c] for c in cells) == contents}
+        total = math.fsum(matched.values())
+        want = [(s, matched[s] / total) for s in sorted(matched)]
+        for cached in ("none", "some", "all"):
+            for by_hand in (True, False):
+                # a fresh placement, so its read cache holds exactly what this case puts in it
+                placement = WindowPlacement(top=top, left=left, shape=WindowShape(h, w))
+                for k, s in enumerate(prior):
+                    if cached == "all" or (cached == "some" and k % 2 == 0):
+                        placement.observe(s)
+                if by_hand:
+                    obs = Observation(placement=placement, contents=contents)
+                else:
+                    obs = placement.observe(true)
+                if not matched:
+                    with pytest.raises(ZeroEvidenceError):
+                        update(prior, obs)
+                    continue
+                got = update(prior, obs)
+                assert list(got.items()) == want  # exact values, keys ascending

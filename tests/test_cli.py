@@ -491,3 +491,25 @@ def test_trace_step_with_bad_observation_contents_is_rejected(contents):
     with pytest.raises(ValueError):
         Observation(placement=placement, contents=contents)
     assert Observation(placement=placement, contents=[0, 1]).contents == (0, 1)
+
+
+@pytest.mark.parametrize("source", ["--q", "RBT_QTABLE"])
+@pytest.mark.parametrize("kind", ["not-json", "empty", "directory", "missing"])
+def test_a_bad_qtable_file_names_the_flag_and_the_path(kind, source, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "q.json"
+    if kind == "not-json":
+        path.write_text("not json")
+    elif kind == "empty":
+        path.write_text("")
+    elif kind == "directory":
+        path.mkdir()
+    monkeypatch.delenv("RBT_QTABLE", raising=False)
+    argv = ["run", "--window", "2x2", "--episodes", "5"]
+    if source == "--q":
+        argv += ["--q", str(path)]
+    else:
+        monkeypatch.setenv("RBT_QTABLE", str(path))
+    assert run_cli(*argv) == 1
+    err = one_line_error(capsys)
+    assert err.startswith(f"error: {source}: {str(path)!r}: ")
+    assert "Errno" not in err  # the reason is said once, without the path again

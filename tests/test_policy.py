@@ -190,3 +190,47 @@ def test_q_values_agree_across_the_mixture_argmax(q_uniform):
 def test_missing_q_entry_is_reported(q_uniform):
     with pytest.raises(MissingQEntryError):
         mixture_values({81: 1.0}, q_uniform)  # O-to-move board: no entry
+
+
+# --- the kernel is exact ---------------------------------------------------------
+
+def zip_reference(belief, q):
+    """The reference formula: one new list of nine values per state, in belief order."""
+    values = [0.0] * 9
+    for state, p in belief.items():
+        values = [v + p * r for v, r in zip(values, q.entries[state])]
+    return values
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]  # tells 0.0 from -0.0, and any last-bit difference
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(
+    minimax=st.booleans(),
+    picks=st.lists(st.integers(min_value=0, max_value=2422), min_size=1, max_size=21, unique=True),
+    weights=st.lists(st.one_of(st.sampled_from([0.25, 5e-324]), POSITIVE), min_size=21, max_size=21),
+)
+def test_mixture_and_alt_values_equal_the_zip_reference_bit_for_bit(q_uniform, q_minimax, minimax, picks, weights):
+    q = q_minimax if minimax else q_uniform
+    states = sorted(q.entries)  # the 2423 decision states
+    # decision states in drawn (unsorted) order; a repeated 0.25 makes modal ties, and the
+    # smallest subnormal makes p * r underflow to -0.0 where r < 0
+    belief = {states[i]: w for i, w in zip(picks, weights)}
+    assert hexes(mixture_values(belief, q)) == hexes(zip_reference(belief, q))
+    top = max_belief_states(belief)
+    assert hexes(alt_values(belief, q)) == hexes(zip_reference(dict.fromkeys(top, 1.0 / len(top)), q))
+
+
+def test_mixture_values_adds_onto_a_positive_zero(q_uniform):
+    # p * r underflows to -0.0 for the smallest subnormal p and -0.5 < r < 0; 0.0 + -0.0 is 0.0
+    state, action = next(
+        (s, a) for s, row in sorted(q_uniform.entries.items()) for a, r in enumerate(row) if -0.5 < r < 0
+    )
+    belief = {state: 5e-324}
+    assert float.hex(5e-324 * q_uniform.entries[state][action]) == "-0x0.0p+0"
+    assert hexes(mixture_values(belief, q_uniform)) == hexes(zip_reference(belief, q_uniform))
+    assert float.hex(mixture_values(belief, q_uniform)[action]) == "0x0.0p+0"
