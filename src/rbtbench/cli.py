@@ -68,8 +68,8 @@ def sweep_row_line(row: SweepRow) -> str:
 
 
 def write_returns_csv(path: str, rows: Sequence[SweepRow], append: bool = False) -> None:
-    """Write the header and `rows`; with `append`, add `rows` to an existing file instead."""
-    fresh = not (append and os.path.exists(path))
+    """Write the header and `rows`; with `append`, add `rows` to a file that exists and is not empty instead."""
+    fresh = not (append and os.path.exists(path) and os.path.getsize(path))
     with open(path, "w" if fresh else "a", encoding="utf-8") as fh:
         if fresh:
             fh.write(RETURNS_HEADER + "\n")
@@ -336,6 +336,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_episodes(args.episodes)
     _check_out_path("--out", args.out)
     _check_out_path("--trace", args.trace)
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        raise ValueError(f"--trace: {args.trace!r} is also --out")
     q, _ = _load_q(args)
     row, results = _run_cell(q, shape, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)

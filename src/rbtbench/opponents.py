@@ -13,6 +13,8 @@ models are its eps:
 Models are frozen values, shared across episode workers and each the key of
 one reply table: ``reply_distribution``, the one entry point, builds a model's
 table for every board O can move on in one pass and looks boards up there.
+Its 2097 boards have at most 1014 distinct reply tuples, so a table keeps one
+object per distinct tuple and per distinct (cell, probability) pair.
 """
 
 from __future__ import annotations
@@ -112,9 +114,28 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 
 @lru_cache(maxsize=None)
+def _situations(uniform: bool) -> tuple[list[int], ...]:
+    """The after-X boards grouped by what their replies depend on: the empty cells and, unless uniform, the best replies."""
+    boards, groups = reachable_boards(), {}
+    for i in transitions()[1]:
+        groups.setdefault(boards[i][2] if uniform else (boards[i][2], _minimax_replies(i)), []).append(i)
+    return tuple(groups.values())
+
+
+@lru_cache(maxsize=None)
 def _reply_table(model: OpponentModel) -> dict[int, tuple[tuple[int, float], ...]]:
-    """Board -> the model's (cell, probability) pairs, for every board O can move on: the after-X boards of the rules."""
-    return {i: _replies(model.eps, i) for i in transitions()[1]}
+    """Board -> the model's (cell, probability) pairs, for every board O can move on: the after-X boards of the rules.
+
+    ``_replies`` runs once per situation, and equal reply tuples, and equal pairs within them, are one object.
+    """
+    eps, shared = model.eps, {}
+    table = dict.fromkeys(transitions()[1])  # the boards in the rules' order
+    for group in _situations(eps == 1.0):
+        replies = tuple([shared.setdefault(pair, pair) for pair in _replies(eps, group[0])])
+        replies = shared.setdefault(replies, replies)
+        for i in group:
+            table[i] = replies
+    return table
 
 
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:

@@ -56,6 +56,15 @@ def test_run_appends_a_csv_row(q_uniform_path, tmp_path, capsys):
     assert float(ci95) >= 0.0
 
 
+def test_run_writes_the_header_into_an_empty_out_file(q_uniform_path, tmp_path, capsys):
+    # an existing empty file, as mktemp makes it, still gets the header
+    csv = tmp_path / "rows.csv"
+    csv.touch()
+    assert run_cli("run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "10", "--seed", "5",
+                   "--out", str(csv)) == 0
+    assert csv.read_text().splitlines() == capsys.readouterr().out.splitlines()  # header, then the row
+
+
 def test_run_writes_the_canonical_window_label(q_uniform_path, tmp_path, capsys):
     csv = tmp_path / "rows.csv"
     for window in ("01x1", "+1X1", " 1x1 "):
@@ -355,6 +364,21 @@ def test_run_into_a_missing_directory_fails_before_any_episode(flag, is_director
     assert not any(path.is_file() for path in paths.values())  # no row appended, no trace written
     if is_directory:
         assert list(paths[flag].iterdir()) == []
+
+
+@pytest.mark.parametrize("out, trace", [("rows.csv", "rows.csv"), ("./rows.csv", "rows.csv"),
+                                        ("rows.csv", "sub/../rows.csv")], ids=["same", "dot-slash", "dot-dot"])
+def test_run_with_trace_and_out_on_one_file_fails_before_any_episode(out, trace, q_uniform_path, tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(cli, "run_episodes", lambda *args: pytest.fail("an episode ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "rows.csv").write_text("window,policy,episodes,mean_return,ci95\n")
+    assert run_cli("run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "5",
+                   "--out", out, "--trace", trace) == 1
+    assert one_line_error(capsys) == f"error: --trace: {trace!r} is also --out\n"
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "rows.csv").read_text() == "window,policy,episodes,mean_return,ci95\n"
 
 
 @pytest.mark.parametrize("is_directory", [False, True], ids=["missing-directory", "is-a-directory"])

@@ -11,6 +11,7 @@ from rbtbench.opponents import (
     from_descriptor,
     _minimax_replies,
     _reply_table,
+    _situations,
     game_value,
     reply_distribution,
 )
@@ -137,6 +138,37 @@ def test_uniform_reply_table_does_not_compute_game_values():
     _reply_table.__wrapped__(UniformRandomOpponent())
     assert game_value.cache_info().currsize == 0
     assert _minimax_replies.cache_info().currsize == 0
+
+
+def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform_table():
+    # eps == 1 groups boards by their empty cells alone for the eps class too, not only for UniformRandomOpponent
+    uniform = _reply_table(UniformRandomOpponent())
+    game_value.cache_clear()
+    _minimax_replies.cache_clear()
+    _situations.cache_clear()
+    table = _reply_table.__wrapped__(EpsilonMinimaxOpponent(1.0))
+    assert game_value.cache_info().currsize == 0
+    assert _minimax_replies.cache_info().currsize == 0
+
+    def hexed(t):
+        return [(i, [(c, p.hex()) for c, p in replies]) for i, replies in t.items()]
+
+    assert hexed(table) == hexed(uniform)
+
+
+@pytest.mark.parametrize("model, n_tuples, n_pairs", [
+    (UniformRandomOpponent(), 255, 36),
+    (MinimaxOpponent(), 237, 45),
+    (EpsilonMinimaxOpponent(0.05), 1014, 143),
+    (EpsilonMinimaxOpponent(0.35), 1014, 143),
+], ids=["uniform", "minimax", "eps0.05", "eps0.35"])
+def test_reply_table_holds_one_object_per_distinct_tuple_and_pair(model, n_tuples, n_pairs):
+    table = _reply_table(model)
+    assert list(table) == list(transitions()[1])  # every O-to-move board, in the rules' order
+    tuples = table.values()
+    pairs = [pair for replies in tuples for pair in replies]
+    assert len({id(t) for t in tuples}) == len(set(tuples)) == n_tuples
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) == n_pairs
 
 
 def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_board():
