@@ -19,24 +19,21 @@ from rbtbench import (
 )
 
 episodes = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-opponent = UniformRandomOpponent()
-q = solve_q(opponent)
+q = solve_q(UniformRandomOpponent())
 
 print(f"{episodes} episodes per cell, seed 42\n")
 print(f"{'window':>8} {'mixture':>16} {'max-belief':>16} {'margin':>8}")
 for label in ("1x1", "2x1", "2x2", "3x1", "3x2"):
     means = {}
     for policy in (MIXTURE, MAXBELIEF):
-        config = EpisodeConfig(
-            shape=WindowShape.from_label(label), opponent=opponent, policy=policy, seed=42
-        )
+        config = EpisodeConfig(shape=WindowShape.from_label(label), policy=policy, seed=42)
         results = run_episodes(config, q, episodes)
         means[policy] = mean_ci95([r.total_return for r in results])
     (m1, c1), (m2, c2) = means[MIXTURE], means[MAXBELIEF]
     print(f"{label:>8} {m1:+.3f} ± {c1:.3f}  {m2:+.3f} ± {c2:.3f}  {m1 - m2:+.3f}")
 
 print("\nper-timestep metrics, 2x2 window, mixture policy:")
-config = EpisodeConfig(shape=WindowShape(2, 2), opponent=opponent, policy=MIXTURE, seed=42)
+config = EpisodeConfig(shape=WindowShape(2, 2), policy=MIXTURE, seed=42)
 for agg in aggregate_by_timestep(run_episodes(config, q, episodes)):
     print(f"  t={agg.t}: mean IoU {agg.mean_iou:.3f}, mean value margin {agg.mean_margin:.4f} "
           f"({agg.samples} episodes reached this step)")

@@ -281,6 +281,8 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
 
 def _check_out_path(flag: str, path: Optional[str]) -> None:
     """An output path must name a file in an existing directory; checked before any work."""
+    if path == "":
+        raise ValueError(f"{flag}: {path!r} is empty")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"{flag}: the directory of {path!r} does not exist")
     if path and os.path.isdir(path):
@@ -325,7 +327,7 @@ def _window_shape(flag: str, text: str) -> WindowShape:
 def _run_cell(
     q: QTable, shape: WindowShape, policy: str, episodes: int, seed: int
 ) -> tuple[SweepRow, list[EpisodeResult]]:
-    config = EpisodeConfig(shape=shape, opponent=q.opponent, policy=policy, seed=seed)
+    config = EpisodeConfig(shape=shape, policy=policy, seed=seed)
     results = run_episodes(config, q, episodes)
     mean, ci = mean_ci95([r.total_return for r in results])
     return SweepRow(window=shape.label, policy=policy, episodes=episodes, mean_return=mean, ci95=ci), results
@@ -360,6 +362,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if labels.count(label) > 1:  # a repeated cell would write its rows twice
             raise ValueError(f"--windows lists the window {label} more than once, got {args.windows!r}")
     _check_episodes(args.episodes)
+    if not args.out_dir or os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ValueError(f"--out-dir: {args.out_dir!r} is not a directory")
     q, q_path = _load_q(args)
     os.makedirs(args.out_dir, exist_ok=True)
     rows: list[SweepRow] = []
@@ -392,7 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     q, _ = _load_q(args)
-    config = EpisodeConfig(shape=shape, opponent=q.opponent, policy=MIXTURE, seed=args.seed)
+    config = EpisodeConfig(shape=shape, policy=MIXTURE, seed=args.seed)
     [result] = run_episodes(config, q, 1)
     for step, true_state in zip(result.steps, result.true_states):
         values = mixture_values(step.belief, q)
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="Q-table path (default: $RBT_QTABLE)")
     p.add_argument("--window", required=True, help="window size HxW")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true", help="also mark the true state and print per-action values")
+    p.add_argument("--verbose", action="store_true", help="mark the true board with * in the belief")
     p.set_defaults(func=cmd_replay)
     return parser
 

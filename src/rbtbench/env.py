@@ -5,7 +5,7 @@ board is read through it, the agent folds the observation into its belief
 (predicting through its own previous move first), picks an action, and the
 environment resolves it against the true board.  Playing an occupied cell ends
 the episode with reward -1; wins, losses, and draws score +1, -1, 0.  The
-opponent sees the full board and never plays an invalid move.
+opponent (``q.opponent``) sees the full board and never plays an invalid move.
 
 All randomness in an episode comes from one generator seeded by the config, so
 identical configs replay bit-identically.
@@ -14,11 +14,11 @@ Both policies act on one ``decide(belief, q)``.  A decision is a pure
 function of the belief and the Q-table, and beliefs repeat across episodes,
 so each table caches a belief-transition graph in its private cache: a node
 holds a prior belief and, per observation key, the posterior and its
-decision; a decision holds, per (action, opponent model), the node of the
-predicted prior.  An episode step walks one edge, and only an edge taken for
-the first time runs the filter (``update``, then ``decide``, which keeps one
-decision per posterior belief).  The cache changes no result: a cold and a
-warm table give equal episodes.
+decision; a decision holds, per action, the node of the predicted prior.
+An episode step walks one edge, and only an edge taken for the first time
+runs the filter (``update``, then ``decide``, which keeps one decision per
+posterior belief).  The cache changes no result: a cold and a warm table
+give equal episodes.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class Outcome(Enum):
 @dataclass(frozen=True)
 class EpisodeConfig:
     shape: WindowShape
-    opponent: OpponentModel
     policy: str = MIXTURE
     seed: int = 0
 
@@ -120,8 +119,8 @@ class Decision(NamedTuple):
     """What both policies make of one posterior belief, and what follows from it.
 
     ``decide`` keeps one per belief in ``QTable._decisions``.  ``predictions``
-    maps (action, opponent model) to the graph node of the prior predicted
-    from this belief.  Cached beliefs are never handed out, only copied.
+    maps an action to the graph node of the prior predicted from this belief
+    with ``q.opponent``.  Cached beliefs are never handed out, only copied.
     """
 
     a_mix: ActionSet
@@ -130,7 +129,7 @@ class Decision(NamedTuple):
     margin: float
     mix_choices: tuple[Action, ...]  # sorted(a_mix), the tie-break draws from it
     max_choices: tuple[Action, ...]  # sorted(a_max)
-    predictions: dict[tuple[Action, OpponentModel], Node]
+    predictions: dict[Action, Node]
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +204,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             reward = ends[action]
             outcome = _ENDED_BY_X[reward]
         else:
-            board = replies[board][_sample_reply(config.opponent, board, rng)]
+            board = replies[board][_sample_reply(q.opponent, board, rng)]
             reward, outcome = _ENDED_BY_O.get(board, (0.0, None))
 
         steps.append(
@@ -224,10 +223,9 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         )
         if outcome is not None:
             return EpisodeResult(steps=steps, total_return=reward, outcome=outcome, true_states=true_states)
-        key = (action, config.opponent)  # one table may be run against several opponents
-        node = decision.predictions.get(key)
+        node = decision.predictions.get(action)
         if node is None:
-            node = decision.predictions[key] = (predict(belief, action, config.opponent), {})
+            node = decision.predictions[action] = (predict(belief, action, q.opponent), {})
 
     raise AssertionError("episode failed to terminate within five agent moves")
 
@@ -239,5 +237,5 @@ def run_episodes(config: EpisodeConfig, q: QTable, episodes: int) -> list[Episod
     workers and still reproduce the single-process results exactly.
     """
     c = config  # every field by keyword: cheaper than dataclasses.replace, same __post_init__
-    return [run_episode(EpisodeConfig(shape=c.shape, opponent=c.opponent, policy=c.policy, seed=c.seed + i), q)
+    return [run_episode(EpisodeConfig(shape=c.shape, policy=c.policy, seed=c.seed + i), q)
             for i in range(episodes)]

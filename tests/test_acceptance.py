@@ -31,7 +31,6 @@ from rbtbench.cli import step_to_json
 from rbtbench.env import MAXBELIEF, MIXTURE, EpisodeConfig, run_episodes
 from rbtbench.game import cell_mark
 from rbtbench.metrics import aggregate_by_timestep, mean_ci95
-from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import ARGMAX_TOL, alt_values, argmax_set, mixture_values
 
 import oracles
@@ -41,7 +40,6 @@ ALL_SHAPES = tuple(WindowShape(h, w) for h in (1, 2, 3) for w in (1, 2, 3))
 # external reference results this benchmark aims to reproduce (mixture policy)
 REFERENCE_MIXTURE = {"1x1": 0.215, "2x1": 0.316, "2x2": 0.532, "3x1": 0.592, "3x2": 0.813}
 SEED = 42
-UNIFORM = UniformRandomOpponent()
 VALUE_RULES = {MIXTURE: mixture_values, MAXBELIEF: alt_values}
 
 
@@ -58,9 +56,7 @@ def benchmark_run(q_uniform):
     cells = {}
     for window in WINDOWS:
         for policy in (MIXTURE, MAXBELIEF):
-            config = EpisodeConfig(
-                shape=WindowShape.from_label(window), opponent=UNIFORM, policy=policy, seed=SEED
-            )
+            config = EpisodeConfig(shape=WindowShape.from_label(window), policy=policy, seed=SEED)
             results = run_episodes(config, q_uniform, 1000)
             mean, ci = mean_ci95([r.total_return for r in results])
             cells[window, policy] = (mean, ci, results)
@@ -170,7 +166,7 @@ def test_4_belief_filter_matches_bruteforce_posterior(q_uniform):
     checked = 0
     for i in range(200):
         shape = ALL_SHAPES[i % len(ALL_SHAPES)]
-        config = EpisodeConfig(shape=shape, opponent=UNIFORM, policy=MIXTURE, seed=10_000 + i)
+        config = EpisodeConfig(shape=shape, policy=MIXTURE, seed=10_000 + i)
         [result] = run_episodes(config, q_uniform, 1)
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
@@ -217,7 +213,7 @@ def test_5_solver_matches_naive_expectimax(q_uniform, q_minimax):
 
 
 def test_6_full_observability_degeneration(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(3, 3), opponent=UNIFORM, policy=MIXTURE, seed=SEED)
+    config = EpisodeConfig(shape=WindowShape(3, 3), policy=MIXTURE, seed=SEED)
     results = run_episodes(config, q_uniform, 10_000)
     for result in results:
         for step, true_state in zip(result.steps, result.true_states):
@@ -239,7 +235,7 @@ def test_6_full_observability_degeneration(q_uniform):
 def test_7_invariant_fuzz(q_uniform):
     lin_checked = 0
     for shape in ALL_SHAPES:
-        config = EpisodeConfig(shape=shape, opponent=UNIFORM, policy=MIXTURE, seed=777)
+        config = EpisodeConfig(shape=shape, policy=MIXTURE, seed=777)
         results = run_episodes(config, q_uniform, 500)
         beliefs_by_t = {}
         for result in results:

@@ -19,6 +19,7 @@ from rbtbench.belief import (
 from rbtbench.env import EpisodeConfig, run_episodes
 from rbtbench.game import GameStatus, reachable_boards
 from rbtbench.opponents import EpsilonMinimaxOpponent, UniformRandomOpponent
+from rbtbench.solver import solve_q
 
 import oracles
 
@@ -204,9 +205,9 @@ def test_observation_distribution_matches_direct_enumeration():
 
 # --- incremental chain versus whole-history posterior ---------------------------
 
-def run_history_check(opponent, kind, shape, seeds, q):
+def run_history_check(kind, shape, seeds, q):
     for seed in seeds:
-        config = EpisodeConfig(shape=shape, opponent=opponent, seed=seed)
+        config = EpisodeConfig(shape=shape, seed=seed)
         [result] = run_episodes(config, q, 1)
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
@@ -221,12 +222,12 @@ def run_history_check(opponent, kind, shape, seeds, q):
 
 def test_chain_equals_bruteforce_posterior_uniform(q_uniform):
     for shape in (WindowShape(1, 1), WindowShape(2, 2), WindowShape(3, 1)):
-        run_history_check(UNIFORM, "uniform", shape, range(8), q_uniform)
+        run_history_check("uniform", shape, range(8), q_uniform)
 
 
-def test_chain_equals_bruteforce_posterior_eps_minimax(q_uniform):
-    opponent = EpsilonMinimaxOpponent(0.3)
-    run_history_check(opponent, ("eps", 0.3), WindowShape(2, 2), range(6), q_uniform)
+def test_chain_equals_bruteforce_posterior_eps_minimax():
+    q = solve_q(EpsilonMinimaxOpponent(0.3))
+    run_history_check(("eps", 0.3), WindowShape(2, 2), range(6), q)
 
 
 # --- the five-state 2x2 profile --------------------------------------------------

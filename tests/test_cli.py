@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from rbtbench import cli
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
 from rbtbench.cli import main, step_to_json
 from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
-from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent
+from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent
 from rbtbench.solver import load_qtable
 
 
@@ -112,7 +113,7 @@ def test_trace_jsonl_round_trips(q_uniform_path, tmp_path, q_uniform):
     lines = trace.read_text().splitlines()
     assert lines
     results = run_episodes(
-        EpisodeConfig(shape=WindowShape(2, 1), opponent=UniformRandomOpponent(), seed=2),
+        EpisodeConfig(shape=WindowShape(2, 1), seed=2),
         q_uniform, 8)
     want = [(e, s) for e, r in enumerate(results) for s in r.steps]
     assert len(lines) == len(want)
@@ -136,7 +137,7 @@ def reference_lines(results) -> list[str]:
 
 def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
     results = run_episodes(
-        EpisodeConfig(shape=WindowShape(1, 1), opponent=UniformRandomOpponent(), seed=5), q_uniform, 300)
+        EpisodeConfig(shape=WindowShape(1, 1), seed=5), q_uniform, 300)
     lines = trace_lines(results)
     assert lines == reference_lines(results)
     # multi-board beliefs whose keys sort as strings ("10" before "9"), and many repeated step contents
@@ -146,7 +147,7 @@ def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
 
 
 def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
-    runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), opponent=q.opponent, seed=1), q, 40)
+    runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), seed=1), q, 40)
             for q in (q_uniform, q_minimax)]
     mixed = [r for pair in zip(*runs) for r in pair]
     assert trace_lines(mixed) == reference_lines(mixed)
@@ -262,10 +263,9 @@ def test_replay_is_deterministic(q_uniform_path, capsys):
 
 def test_replay_seedscan_finds_the_five_state_profile(q_uniform_path, q_uniform, capsys):
     target = [0.125, 0.125, 0.25, 0.25, 0.25]
-    opponent = UniformRandomOpponent()
     hit = None
     for seed in range(2000):
-        config = EpisodeConfig(shape=WindowShape(2, 2), opponent=opponent, seed=seed)
+        config = EpisodeConfig(shape=WindowShape(2, 2), seed=seed)
         [result] = run_episodes(config, q_uniform, 1)
         if any(sorted(round(p, 9) for p in s.belief.values()) == target for s in result.steps):
             hit = seed
@@ -340,30 +340,43 @@ def test_replay_names_the_flag_of_a_bad_window(q_uniform_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flag, is_directory", [
-    pytest.param("--out", False, id="--out"),
-    pytest.param("--trace", False, id="--trace"),
-    pytest.param("--out", True, id="--out-is-a-directory"),
-    pytest.param("--trace", True, id="--trace-is-a-directory"),
+OUT_PATH_ERRORS = {"missing": "does not exist", "directory": "is a directory", "empty": "is empty"}
+
+
+def bad_out_path(kind, path) -> str:
+    """`path` moved into a missing directory, made an (empty) directory there, or the empty string."""
+    if kind == "empty":
+        return ""
+    path = path.parent / "missing" / path.name
+    if kind == "directory":
+        path.mkdir(parents=True)
+    return str(path)
+
+
+@pytest.mark.parametrize("flag, kind", [
+    pytest.param("--out", "missing", id="--out"),
+    pytest.param("--trace", "missing", id="--trace"),
+    pytest.param("--out", "directory", id="--out-is-a-directory"),
+    pytest.param("--trace", "directory", id="--trace-is-a-directory"),
+    pytest.param("--out", "empty", id="--out-is-empty"),
+    pytest.param("--trace", "empty", id="--trace-is-empty"),
 ])
-def test_run_into_a_missing_directory_fails_before_any_episode(flag, is_directory, q_uniform_path, tmp_path, capsys,
+def test_run_into_a_missing_directory_fails_before_any_episode(flag, kind, q_uniform_path, tmp_path, capsys,
                                                                monkeypatch):
     monkeypatch.setattr(cli, "run_episodes", lambda *args: pytest.fail("an episode ran"))
-    paths = {"--out": tmp_path / "rows.csv", "--trace": tmp_path / "steps.jsonl"}
-    paths[flag] = tmp_path / "missing" / paths[flag].name
-    if is_directory:
-        paths[flag].mkdir(parents=True)
+    paths = {"--out": str(tmp_path / "rows.csv"), "--trace": str(tmp_path / "steps.jsonl")}
+    paths[flag] = bad_out_path(kind, tmp_path / os.path.basename(paths[flag]))
     argv = ["run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "5"]
     for f, path in paths.items():
-        argv += [f, str(path)]
+        argv += [f, path]
     assert run_cli(*argv) == 1
     err = one_line_error(capsys)
-    assert err.startswith(f"error: {flag}: ") and repr(str(paths[flag])) in err
-    assert ("is a directory" in err) == is_directory
+    assert err.startswith(f"error: {flag}: ") and repr(paths[flag]) in err
+    assert err.endswith(f" {OUT_PATH_ERRORS[kind]}\n")
     assert capsys.readouterr().out == ""
-    assert not any(path.is_file() for path in paths.values())  # no row appended, no trace written
-    if is_directory:
-        assert list(paths[flag].iterdir()) == []
+    assert not any(os.path.isfile(path) for path in paths.values())  # no row appended, no trace written
+    if kind == "directory":
+        assert os.listdir(paths[flag]) == []
 
 
 @pytest.mark.parametrize("out, trace", [("rows.csv", "rows.csv"), ("./rows.csv", "rows.csv"),
@@ -381,21 +394,37 @@ def test_run_with_trace_and_out_on_one_file_fails_before_any_episode(out, trace,
     assert (tmp_path / "rows.csv").read_text() == "window,policy,episodes,mean_return,ci95\n"
 
 
-@pytest.mark.parametrize("is_directory", [False, True], ids=["missing-directory", "is-a-directory"])
-def test_solve_into_a_bad_out_path_fails_before_solving(is_directory, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("kind", ["missing", "directory", "empty"],
+                         ids=["missing-directory", "is-a-directory", "empty"])
+def test_solve_into_a_bad_out_path_fails_before_solving(kind, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_q", lambda *args: pytest.fail("the table was solved"))
-    out = tmp_path / "nodir" / "q.json"
-    if is_directory:
-        out.mkdir(parents=True)
-    assert run_cli("solve", "--opponent", "uniform", "--out", str(out)) == 1
+    monkeypatch.chdir(tmp_path)
+    out = bad_out_path(kind, tmp_path / "q.json")
+    assert run_cli("solve", "--opponent", "uniform", "--out", out) == 1
     err = one_line_error(capsys)
-    assert err.startswith("error: --out: ") and repr(str(out)) in err
-    assert ("is a directory" in err) == is_directory
+    assert err.startswith("error: --out: ") and repr(out) in err
+    assert err.endswith(f" {OUT_PATH_ERRORS[kind]}\n")
     assert capsys.readouterr().out == ""
-    if is_directory:
-        assert list(out.iterdir()) == []
-    else:
-        assert not out.parent.exists()  # nothing written
+    assert os.listdir(tmp_path) == (["missing"] if kind == "directory" else [])  # nothing written
+    if kind == "directory":
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+def test_sweep_into_a_bad_out_dir_fails_before_loading_the_table(kind, q_uniform_path, tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(cli, "load_qtable", lambda *args: pytest.fail("the table was loaded"))
+    monkeypatch.chdir(tmp_path)
+    out = ""
+    if kind == "file":
+        out = str(tmp_path / "results")
+        (tmp_path / "results").write_text("kept\n")
+    assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1", "--episodes", "5", "--out-dir", out) == 1
+    assert one_line_error(capsys) == f"error: --out-dir: {out!r} is not a directory\n"
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == (["results"] if kind == "file" else [])
+    if kind == "file":
+        assert (tmp_path / "results").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta", "eps:x", "eps:nan", "eps_minimax"])

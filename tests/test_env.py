@@ -19,6 +19,7 @@ from rbtbench.env import (
 )
 from rbtbench.game import cell_mark
 from rbtbench.metrics import iou
+from rbtbench import opponents
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
     UniformRandomOpponent,
@@ -74,26 +75,26 @@ def test_make_observation_reads_the_true_board():
 
 
 def test_episode_replay_is_bit_identical(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=123)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=123)
     assert run_episode(config, q_uniform) == run_episode(config, q_uniform)
 
 
 def test_run_episodes_derives_per_episode_seeds(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 2), opponent=UNIFORM, seed=40)
+    config = EpisodeConfig(shape=WindowShape(2, 2), seed=40)
     batch = run_episodes(config, q_uniform, 3)
     for i, result in enumerate(batch):
-        single = run_episode(EpisodeConfig(shape=config.shape, opponent=UNIFORM, seed=40 + i), q_uniform)
+        single = run_episode(EpisodeConfig(shape=config.shape, seed=40 + i), q_uniform)
         assert result == single
 
 
 def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_uniform):
     # run_episodes names every field; a new one must be added there, and to `config` below
-    assert [f.name for f in fields(EpisodeConfig)] == ["shape", "opponent", "policy", "seed"]
+    assert [f.name for f in fields(EpisodeConfig)] == ["shape", "policy", "seed"]
     checked, configs = [], []
     post_init = EpisodeConfig.__post_init__
     monkeypatch.setattr(EpisodeConfig, "__post_init__", lambda self: checked.append(self) or post_init(self))
     monkeypatch.setattr(env, "run_episode", lambda config, q: configs.append(config))
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=EpsilonMinimaxOpponent(0.5), policy=MAXBELIEF, seed=7)
+    config = EpisodeConfig(shape=WindowShape(2, 1), policy=MAXBELIEF, seed=7)
     before = len(checked)
     run_episodes(config, q_uniform, 3)
     assert checked[before:] == configs  # one check per episode
@@ -102,11 +103,11 @@ def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_unifo
 
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError):
-        EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, policy="psychic")
+        EpisodeConfig(shape=WindowShape(1, 1), policy="psychic")
 
 
 def test_random_baseline_hits_invalid_moves(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 2), opponent=UNIFORM, policy=RANDOM, seed=0)
+    config = EpisodeConfig(shape=WindowShape(2, 2), policy=RANDOM, seed=0)
     outcomes = Counter(r.outcome for r in run_episodes(config, q_uniform, 200))
     assert outcomes[Outcome.INVALID_MOVE] > 0
     invalid = [r for r in run_episodes(config, q_uniform, 200) if r.outcome == Outcome.INVALID_MOVE]
@@ -115,14 +116,14 @@ def test_random_baseline_hits_invalid_moves(q_uniform):
 
 def test_truth_always_keeps_positive_mass(q_uniform):
     for shape in (WindowShape(1, 1), WindowShape(2, 2), WindowShape(3, 1)):
-        config = EpisodeConfig(shape=shape, opponent=UNIFORM, seed=7)
+        config = EpisodeConfig(shape=shape, seed=7)
         for result in run_episodes(config, q_uniform, 100):
             for step, true_state in zip(result.steps, result.true_states):
                 assert step.belief.get(true_state, 0.0) > 0.0
 
 
 def test_support_parity_tracks_the_move_count(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=9)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=9)
     for result in run_episodes(config, q_uniform, 60):
         for step in result.steps:
             for s in step.belief:
@@ -131,7 +132,7 @@ def test_support_parity_tracks_the_move_count(q_uniform):
 
 
 def test_full_observability_collapses_to_the_truth(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(3, 3), opponent=UNIFORM, seed=21)
+    config = EpisodeConfig(shape=WindowShape(3, 3), seed=21)
     for result in run_episodes(config, q_uniform, 200):
         for step, true_state in zip(result.steps, result.true_states):
             assert step.belief == {true_state: 1.0}
@@ -139,7 +140,7 @@ def test_full_observability_collapses_to_the_truth(q_uniform):
 
 
 def test_policies_coincide_under_full_observability(q_uniform):
-    base = dict(shape=WindowShape(3, 3), opponent=UNIFORM, seed=77)
+    base = dict(shape=WindowShape(3, 3), seed=77)
     mix = run_episodes(EpisodeConfig(policy=MIXTURE, **base), q_uniform, 100)
     alt = run_episodes(EpisodeConfig(policy=MAXBELIEF, **base), q_uniform, 100)
     assert [r.total_return for r in mix] == [r.total_return for r in alt]
@@ -153,7 +154,7 @@ def test_outcome_and_return_are_consistent(q_uniform):
         Outcome.INVALID_MOVE: -1.0,
     }
     for policy in (MIXTURE, MAXBELIEF, RANDOM):
-        config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, policy=policy, seed=3)
+        config = EpisodeConfig(shape=WindowShape(1, 1), policy=policy, seed=3)
         for result in run_episodes(config, q_uniform, 150):
             assert result.total_return == expected[result.outcome]
             assert len(result.steps) <= 5
@@ -165,7 +166,7 @@ def test_mixture_never_plays_a_surely_occupied_cell(q_uniform):
     # whenever any action is worth more than a guaranteed invalid move, the
     # chosen action is empty in at least one support state
     for shape in (WindowShape(1, 1), WindowShape(2, 2)):
-        config = EpisodeConfig(shape=shape, opponent=UNIFORM, seed=31)
+        config = EpisodeConfig(shape=shape, seed=31)
         for result in run_episodes(config, q_uniform, 150):
             for step in result.steps:
                 values = mixture_values(step.belief, q_uniform)
@@ -199,7 +200,7 @@ def fresh_copy(q):
 def cache_configs():
     for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(2, 2)):
         for policy in (MIXTURE, MAXBELIEF, RANDOM):
-            yield EpisodeConfig(shape=shape, opponent=UNIFORM, policy=policy, seed=300)
+            yield EpisodeConfig(shape=shape, policy=policy, seed=300)
 
 
 def test_cold_and_warm_cache_give_equal_results(q_uniform):
@@ -214,7 +215,7 @@ def test_cold_and_warm_cache_give_equal_results(q_uniform):
 
 
 def test_tables_never_share_cached_decisions(q_uniform, q_minimax):
-    config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=800)
+    config = EpisodeConfig(shape=WindowShape(1, 1), seed=800)  # each table plays its own model
     by_uniform = run_episodes(config, q_uniform, 200)
     by_minimax = run_episodes(config, q_minimax, 200)
     assert by_uniform == run_episodes(config, fresh_copy(q_uniform), 200)
@@ -225,7 +226,7 @@ def test_tables_never_share_cached_decisions(q_uniform, q_minimax):
 
 def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
     q = fresh_copy(q_uniform)
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=60)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=60)
     want = run_episodes(config, fresh_copy(q_uniform), 100)
     first = run_episodes(config, q, 100)
     beliefs = [s.belief for r in first for s in r.steps]
@@ -239,7 +240,7 @@ def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
 def test_step_decisions_match_the_policy_functions(q_uniform):
     # each step's memoized decision against a cold recomputation from the policy functions
     for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(3, 1)):
-        config = EpisodeConfig(shape=shape, opponent=UNIFORM, seed=410)
+        config = EpisodeConfig(shape=shape, seed=410)
         for result in run_episodes(config, q_uniform, 150):
             for step in result.steps:
                 values = mixture_values(step.belief, q_uniform)
@@ -282,7 +283,7 @@ def counting_updates(monkeypatch):
 
 def test_a_cold_run_updates_once_per_edge(monkeypatch, q_uniform, q_minimax):
     calls = counting_updates(monkeypatch)
-    config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=900)
+    config = EpisodeConfig(shape=WindowShape(1, 1), seed=900)
     run_episodes(config, fresh_copy(q_minimax), 100)  # another table's graph, built first
     calls.clear()
     results = run_episodes(config, fresh_copy(q_uniform), 300)
@@ -299,7 +300,7 @@ def test_a_cold_run_updates_once_per_edge(monkeypatch, q_uniform, q_minimax):
 
 def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):
     calls = counting_updates(monkeypatch)
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=500)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=500)
     twin = replace(config, shape=WindowShape(2, 1))
     assert twin.shape is not config.shape and twin.shape.placements()[0] is not config.shape.placements()[0]
     q = fresh_copy(q_uniform)
@@ -318,3 +319,31 @@ def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):
                 belief = predict(belief, result.steps[step.t - 1].chosen_action, UNIFORM)
             belief = update(belief, step.observation)
             assert step.belief == belief
+
+
+def test_a_warm_graph_runs_no_filter(monkeypatch, q_uniform):
+    # after one pass, every prior node, posterior and prediction edge these runs need is in the graph
+    configs = [EpisodeConfig(shape=WindowShape(h, w), policy=policy, seed=1200)
+               for h, w in ((1, 1), (2, 1)) for policy in (MIXTURE, MAXBELIEF)]
+    q = fresh_copy(q_uniform)
+    first = [run_episodes(config, q, 300) for config in configs]
+    calls = []
+    for name in ("update", "predict"):
+        original = getattr(env, name)
+        monkeypatch.setattr(env, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    assert [run_episodes(config, q, 300) for config in configs] == first
+    assert calls == []
+    run_episodes(configs[0], fresh_copy(q_uniform), 300)  # the check has teeth: a cold table filters
+    assert {"update", "predict"} <= set(calls)
+
+
+def test_a_tables_episodes_play_the_tables_model(q_minimax):
+    checked = 0
+    for shape in (WindowShape(1, 1), WindowShape(2, 2)):
+        for result in run_episodes(EpisodeConfig(shape=shape, seed=1300), q_minimax, 200):
+            for step, board, after_o in zip(result.steps, result.true_states, result.true_states[1:]):
+                after_x = board + 3 ** step.chosen_action  # X's mark is digit 1
+                [reply] = [c for c in range(9) if cell_mark(after_o, c) != cell_mark(after_x, c)]
+                assert reply in dict(opponents._minimax_replies(after_x))
+                checked += 1
+    assert checked > 100

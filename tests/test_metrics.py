@@ -12,11 +12,8 @@ from rbtbench.metrics import (
     iou,
     mean_ci95,
 )
-from rbtbench.opponents import UniformRandomOpponent
 
 import oracles
-
-UNIFORM = UniformRandomOpponent()
 
 action_sets = st.sets(st.integers(min_value=0, max_value=8), min_size=1).map(frozenset)
 
@@ -46,7 +43,7 @@ def test_value_margin_zero_on_the_initial_belief(q_uniform_cold):
 
 
 def test_value_margin_never_meaningfully_negative(q_uniform, q_uniform_cold):
-    config = EpisodeConfig(shape=WindowShape(2, 1), opponent=UNIFORM, seed=23)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=23)
     for result in run_episodes(config, q_uniform, 100):
         for step in result.steps:
             assert step.margin >= -1e-9
@@ -82,7 +79,7 @@ def test_mean_ci95_needs_two_samples():
 
 
 def test_aggregate_by_timestep_single_trace(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 2), opponent=UNIFORM, seed=4)
+    config = EpisodeConfig(shape=WindowShape(2, 2), seed=4)
     [result] = run_episodes(config, q_uniform, 1)
     aggs = aggregate_by_timestep([result])
     assert [a.t for a in aggs] == [s.t for s in result.steps]
@@ -93,7 +90,7 @@ def test_aggregate_by_timestep_single_trace(q_uniform):
 
 
 def test_aggregate_counts_only_episodes_that_reached_t(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(1, 1), opponent=UNIFORM, seed=6)
+    config = EpisodeConfig(shape=WindowShape(1, 1), seed=6)
     results = run_episodes(config, q_uniform, 200)
     aggs = aggregate_by_timestep(results)
     assert aggs[0].samples == 200

@@ -179,7 +179,7 @@ def test_act_alt_can_prefer_a_cell_occupied_off_the_modal_state(q_uniform):
 
 
 def test_q_values_agree_across_the_mixture_argmax(q_uniform):
-    config = EpisodeConfig(shape=WindowShape(2, 2), opponent=UNIFORM, seed=17)
+    config = EpisodeConfig(shape=WindowShape(2, 2), seed=17)
     for result in run_episodes(config, q_uniform, 50):
         for step in result.steps:
             values = mixture_values(step.belief, q_uniform)
