@@ -6,6 +6,9 @@ deterministic window read and the sensing window placement is drawn
 independently of the state, the posterior update is multiplication by a 0/1
 match indicator followed by renormalization.
 
+``update`` keeps the boards whose marks (``game.board_marks()``) under the
+placement's ``mask``, its cells' X and O bits, equal the observation's ``seen``.
+
 The transition push-forward (``predict``) conditions on everything the agent
 provably knows when it is asked to move again:
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .game import Action, POW3, transitions
+from .game import Action, board_marks, transitions
 from .opponents import OpponentModel, reply_distribution
 
 Belief = dict[int, float]
@@ -64,7 +67,7 @@ class WindowShape:
 
     @cached_property
     def _placements(self) -> tuple["WindowPlacement", ...]:
-        # Built on first use, once per shape, with each placement's read cache;
+        # Built on first use, once per shape, with each placement's observations;
         # not a dataclass field, so equality and hashing ignore it.
         return tuple(
             WindowPlacement(top=t, left=l, shape=self)
@@ -82,32 +85,24 @@ class WindowPlacement:
     def __post_init__(self):
         if not (0 <= self.top <= 3 - self.shape.height and 0 <= self.left <= 3 - self.shape.width):
             raise ValueError(f"window {self.shape.label} does not fit at ({self.top}, {self.left})")
-        cells = tuple(
-            (self.top + r) * 3 + (self.left + c)
-            for r in range(self.shape.height)
-            for c in range(self.shape.width)
-        )
+        rows, cols = range(self.top, self.top + self.shape.height), range(self.left, self.left + self.shape.width)
+        cells = tuple(r * 3 + c for r in rows for c in cols)
         # Derived once; not dataclass fields, so equality and hashing ignore them.
         object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_divisors", tuple(POW3[c] for c in cells))
-        object.__setattr__(self, "_reads", {})  # board index -> Observation
-        object.__setattr__(self, "_observations", {})  # window contents -> Observation
+        object.__setattr__(self, "mask", sum(513 << c for c in cells))  # each cell's X bit and O bit, 1 | 1 << 9
+        object.__setattr__(self, "tag", sum(1 << 18 + c for c in cells))  # the cells, above any ``seen``
+        object.__setattr__(self, "_observations", {})  # seen -> Observation
 
     def cells(self) -> tuple[int, ...]:
         return self._cells
 
     def observe(self, index: int) -> "Observation":
-        """The observation of board `index` through this window.
-
-        Cached per board, and one shared object per distinct window contents.
-        """
-        obs = self._reads.get(index)
+        """The observation of reachable board `index` (any other raises) through this window: one per contents."""
+        seen = board_marks()[index] & self.mask
+        obs = self._observations.get(seen)
         if obs is None:
-            contents = tuple(index // d % 3 for d in self._divisors)
-            obs = self._observations.get(contents)
-            if obs is None:
-                obs = self._observations[contents] = Observation(placement=self, contents=contents)
-            self._reads[index] = obs
+            contents = tuple(seen >> c & 1 | seen >> c + 8 & 2 for c in self._cells)  # X bit 1, O bit 2
+            obs = self._observations[seen] = Observation(placement=self, contents=contents)
         return obs
 
 
@@ -115,8 +110,10 @@ class WindowPlacement:
 class Observation:
     """A window read: the cell digits (0 empty / 1 X / 2 O) in row-major window order.
 
-    ``key`` is an int that identifies the observation; the episode loop keys
-    its belief-transition edges on it.
+    ``seen`` is a board's marks under the placement's ``mask`` (X cells in bits
+    0-8, O cells in 9-17).  ``key`` is ``seen | tag``, with the window's cells
+    in bits 18-26, so it stays below 2**30, a one-digit int, cheap to hash: the
+    episode loop keys its graph edges on it.
     """
 
     placement: WindowPlacement
@@ -126,16 +123,15 @@ class Observation:
         expected = self.placement.shape.height * self.placement.shape.width
         if len(self.contents) != expected:
             raise ValueError(f"expected {expected} cells of contents, got {len(self.contents)}")
-        if any(type(c) is not int or not 0 <= c <= 2 for c in self.contents):  # no bools or floats
-            raise ValueError(f"window contents must be cell digits 0, 1 or 2, got {list(self.contents)}")
-        object.__setattr__(self, "contents", tuple(self.contents))
-        # The board as seen through the window, in base 4 with digit 3 on every
-        # cell outside it: equal exactly when the observations are equal, and an
-        # int, so keying on it calls no dataclass __hash__.  Not a field.
-        digits = [3] * 9
+        seen = 0  # checked and read in one loop: ``observe`` builds one per new contents
         for cell, c in zip(self.placement.cells(), self.contents):
-            digits[cell] = c
-        object.__setattr__(self, "key", sum(d * 4**i for i, d in enumerate(digits)))
+            if type(c) is not int or not 0 <= c <= 2:  # no bools or floats
+                raise ValueError(f"window contents must be cell digits 0, 1 or 2, got {list(self.contents)}")
+            seen |= (0, 1, 512)[c] << cell  # the cell's X bit or O bit
+        # Not fields.  Keys are equal exactly when observations are; an int one calls no dataclass __hash__.
+        object.__setattr__(self, "contents", tuple(self.contents))
+        object.__setattr__(self, "seen", seen)
+        object.__setattr__(self, "key", seen | self.placement.tag)
 
 
 def initial_belief() -> Belief:
@@ -173,12 +169,8 @@ def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Be
 
 def update(belief: Belief, obs: Observation) -> Belief:
     """Condition a belief on a window observation (0/1 likelihood, renormalized)."""
-    placement, contents = obs.placement, obs.contents
-    reads, observe = placement._reads, placement.observe
-    mass = {}
-    for index, p in belief.items():
-        if (reads.get(index) or observe(index)).contents == contents:
-            mass[index] = p
+    marks, mask, seen = board_marks(), obs.placement.mask, obs.seen
+    mass = {s: p for s, p in belief.items() if marks[s] & mask == seen}
     if not mass:
         raise ZeroEvidenceError(f"observation {obs} matches no state in the support")
     return _normalized(mass)

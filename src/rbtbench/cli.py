@@ -364,8 +364,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_episodes(args.episodes)
     if not args.out_dir or os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
         raise ValueError(f"--out-dir: {args.out_dir!r} is not a directory")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # a parent that is a file, or one that cannot be written
+        raise ValueError(f"--out-dir: {args.out_dir!r}: {exc.strerror}") from None
     q, q_path = _load_q(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     rows: list[SweepRow] = []
     timestep_rows: list[tuple] = []
     for shape in shapes:

@@ -13,12 +13,13 @@ identical configs replay bit-identically.
 Both policies act on one ``decide(belief, q)``.  A decision is a pure
 function of the belief and the Q-table, and beliefs repeat across episodes,
 so each table caches a belief-transition graph in its private cache: a node
-holds a prior belief and, per observation key, the posterior and its
-decision; a decision holds, per action, the node of the predicted prior.
-An episode step walks one edge, and only an edge taken for the first time
-runs the filter (``update``, then ``decide``, which keeps one decision per
-posterior belief).  The cache changes no result: a cold and a warm table
-give equal episodes.
+holds a prior belief and, per observation key, the observation, posterior
+and decision; a decision holds, per action, the node of the predicted prior.
+A step reads the key off the true board's marks (``Observation.key`` is
+``marks & mask | tag``) and walks one edge.  Only a new edge builds
+the observation and runs the filter (``update``, then ``decide``, which keeps
+one decision per posterior belief).  The cache changes no result: a cold and
+a warm table give equal episodes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .belief import (
     predict,
     update,
 )
-from .game import DRAW, O_WINS, Action, transitions
+from .game import DRAW, O_WINS, Action, board_marks, transitions
 from .metrics import iou
 from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -111,7 +112,7 @@ def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
 
 
 # A node of the belief-transition graph: a prior belief, and the edges out of
-# it, observation key -> (posterior, Decision).
+# it, observation key -> (Observation, posterior, Decision).
 Node = tuple[Belief, dict]
 
 
@@ -176,19 +177,20 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     rng = Random(config.seed)
     board = 0
     moves, replies = transitions()
+    marks = board_marks()
     node = _root(q)
     steps: list[StepRecord] = []
     true_states: list[int] = []
 
     for t in range(5):  # X can place at most five marks
         placement = sample_window(config.shape, rng)
-        obs = placement.observe(board)
         prior, posteriors = node
-        edge = posteriors.get(obs.key)
+        edge = posteriors.get(marks[board] & placement.mask | placement.tag)  # the key of the board's observation
         if edge is None:
+            obs = placement.observe(board)
             posterior = update(prior, obs)
-            edge = posteriors[obs.key] = (posterior, decide(posterior, q))
-        belief, decision = edge
+            edge = posteriors[obs.key] = (obs, posterior, decide(posterior, q))
+        obs, belief, decision = edge
         true_states.append(board)
 
         if config.policy == MIXTURE:

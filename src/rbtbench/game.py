@@ -6,13 +6,13 @@ board is a key in [0, 19683) and Q-table files and belief dictionaries stay
 bit-stable.  This integer encoding is the only board representation.
 
 ``reachable_boards`` builds the reachable game in one pass, layer by layer
-from the empty board: each board carries two 9-bit masks, of its X and of its
-O cells, a successor's being its parent's with the mover's bit set, and the
-pass records each board's status, mover and empty cells as it goes.  Status
-is read from the masks through a 512-entry "has a line" table built from
-``LINES``.  Only boards in progress get successors, so no recorded board has
-a line for both players.  Those records are the only source of board facts,
-and a board outside them is not a legal position.
+from the empty board: each board carries its marks (``board_marks()``), one
+18-bit int with its X cells in bits 0-8 and its O cells in bits 9-17, a
+successor's being its parent's with the mover's bit set.  The pass records
+each board's status (read through a 512-entry "has a line" table built from
+``LINES``), mover and empty cells.  Only boards in progress get successors, so
+no recorded board has a line for both players.  Those records are the only
+source of board facts, and a board outside them is not a legal position.
 
 ``transitions`` turns the records into the move rules, the one place that
 knows them: X marks a cell, then either the episode ends (invalid move, win
@@ -22,6 +22,7 @@ filter's prediction, the episode loop and the minimax values all read it.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from functools import lru_cache
 
@@ -54,38 +55,39 @@ def cell_mark(index: int, cell: int) -> int:
     return index // POW3[cell] % 3
 
 
-def _status(x: int, o: int) -> GameStatus:
-    """A board's status from its X and O masks; the pass never builds a board where both hold a line."""
-    if _HAS_LINE[x]:
-        return GameStatus.X_WINS
-    if _HAS_LINE[o]:
-        return GameStatus.O_WINS
-    return GameStatus.DRAW if x | o == _FULL else GameStatus.IN_PROGRESS
-
-
 @lru_cache(maxsize=None)
-def reachable_boards() -> dict[int, tuple[GameStatus, int, tuple[int, ...]]]:
-    """Board -> (status, mark to move, empty cells), for every reachable board, fewest marks first.
-
-    One pass, one layer (one more mark) at a time; only boards in progress get successors.
-    """
-    boards = {}
-    layer = {0: (0, 0)}  # board -> (X mask, O mask)
-    mover = 1
+def _game() -> tuple[dict[int, tuple[GameStatus, int, tuple[int, ...]]], array]:
+    """The one pass: ``(reachable_boards(), board_marks())``, one layer (one more mark) at a time."""
+    in_progress, x_wins, o_wins, draw = GameStatus  # locals: a read off the Enum class costs ~0.2 µs
+    boards, marks = {}, array("i", [-1]) * 3**9  # 4 bytes a board, no int objects
+    layer, mover = {0: 0}, 1  # layer: board -> its marks
     while layer:
-        successors: dict[int, tuple[int, int]] = {}
-        for index, (x, o) in layer.items():
-            status = _status(x, o)
+        successors: dict[int, int] = {}
+        bit = 1 if mover == 1 else 1 << 9  # the mover's mark on cell 0
+        for index, m in layer.items():
+            marks[index] = m
+            x, o = m & _FULL, m >> 9
+            status = x_wins if _HAS_LINE[x] else o_wins if _HAS_LINE[o] else draw if x | o == _FULL else in_progress
             cells = _CELLS[_FULL ^ (x | o)]
             boards[index] = (status, mover, cells)
-            if status is not GameStatus.IN_PROGRESS:
+            if status is not in_progress:
                 continue
             for cell in cells:
                 successor = index + mover * POW3[cell]
                 if successor not in successors:
-                    successors[successor] = (x | 1 << cell, o) if mover == 1 else (x, o | 1 << cell)
+                    successors[successor] = m | bit << cell
         layer, mover = successors, 3 - mover
-    return boards
+    return boards, marks
+
+
+def reachable_boards() -> dict[int, tuple[GameStatus, int, tuple[int, ...]]]:
+    """Board -> (status, mark to move, empty cells), for every reachable board, fewest marks first."""
+    return _game()[0]
+
+
+def board_marks() -> array:
+    """X cells | O cells << 9 of every reachable board, indexed by board; -1 at any other index."""
+    return _game()[1]
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +120,8 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
     reply on, the after-O board, ``O_WINS`` or ``DRAW``.
     """
     boards = reachable_boards()
-    states = [i for i, (st, mover, _) in boards.items() if mover == 1 and st is GameStatus.IN_PROGRESS]
+    in_progress, x_wins, o_wins, _ = GameStatus  # locals, as in the pass
+    states = [i for i, (st, mover, _) in boards.items() if mover == 1 and st is in_progress]
     moves, replies, shared = {}, {}, {}
     for index in sorted(states, key=lambda i: (len(boards[i][2]), i)):
         ends = [-1.0] * 9
@@ -126,8 +129,8 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
         for action in boards[index][2]:
             board = index + POW3[action]  # X mark = digit 1
             st, _, reply_cells = boards[board]
-            if st is not GameStatus.IN_PROGRESS:
-                ends[action] = 1.0 if st is GameStatus.X_WINS else 0.0
+            if st is not in_progress:
+                ends[action] = 1.0 if st is x_wins else 0.0
                 continue
             after_x[action] = board
             if board not in replies:
@@ -135,7 +138,7 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
                 for reply in reply_cells:
                     after_o = board + 2 * POW3[reply]  # O mark = digit 2
                     st = boards[after_o][0]
-                    succ[reply] = after_o if st is GameStatus.IN_PROGRESS else O_WINS if st is GameStatus.O_WINS else DRAW
+                    succ[reply] = after_o if st is in_progress else O_WINS if st is o_wins else DRAW
                 replies[board] = tuple(succ)
         moves[index] = (shared.setdefault(tuple(ends), tuple(ends)), after_x)
     return moves, replies

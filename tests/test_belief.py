@@ -98,6 +98,15 @@ def test_likelihood_depends_only_on_covered_cells():
     assert placement.observe(s1) == placement.observe(s2) == obs
 
 
+def test_observe_reads_the_oracle_digits_for_every_placement_and_reachable_board():
+    boards = [(index, oracles.cells_of(index)) for index in reachable_boards()]
+    for h, w in product(range(1, 4), repeat=2):
+        for placement in WindowShape(h, w).placements():
+            cells = placement.cells()
+            for index, digits in boards:
+                assert placement.observe(index).contents == tuple(digits[c] for c in cells)
+
+
 # --- predict ------------------------------------------------------------------
 
 def test_predict_from_point_mass_spreads_uniformly():

@@ -410,20 +410,21 @@ def test_solve_into_a_bad_out_path_fails_before_solving(kind, tmp_path, capsys, 
         assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("kind", ["empty", "file"])
+@pytest.mark.parametrize("kind", ["empty", "file", "below-a-file"])
 def test_sweep_into_a_bad_out_dir_fails_before_loading_the_table(kind, q_uniform_path, tmp_path, capsys,
                                                                  monkeypatch):
     monkeypatch.setattr(cli, "load_qtable", lambda *args: pytest.fail("the table was loaded"))
     monkeypatch.chdir(tmp_path)
     out = ""
-    if kind == "file":
-        out = str(tmp_path / "results")
+    if kind != "empty":
+        out = str(tmp_path / "results") + ("/sub" if kind == "below-a-file" else "")
         (tmp_path / "results").write_text("kept\n")
     assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1", "--episodes", "5", "--out-dir", out) == 1
-    assert one_line_error(capsys) == f"error: --out-dir: {out!r} is not a directory\n"
+    reason = ": Not a directory" if kind == "below-a-file" else " is not a directory"
+    assert one_line_error(capsys) == f"error: --out-dir: {out!r}{reason}\n"
     assert capsys.readouterr().out == ""
-    assert os.listdir(tmp_path) == (["results"] if kind == "file" else [])
-    if kind == "file":
+    assert os.listdir(tmp_path) == (["results"] if kind != "empty" else [])
+    if kind != "empty":
         assert (tmp_path / "results").read_text() == "kept\n"
 
 

@@ -322,19 +322,20 @@ def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):
 
 
 def test_a_warm_graph_runs_no_filter(monkeypatch, q_uniform):
-    # after one pass, every prior node, posterior and prediction edge these runs need is in the graph
+    # after one pass, every prior node, posterior and prediction edge these runs need is in the graph,
+    # and a step finds its edge from the board's marks without building an observation
     configs = [EpisodeConfig(shape=WindowShape(h, w), policy=policy, seed=1200)
                for h, w in ((1, 1), (2, 1)) for policy in (MIXTURE, MAXBELIEF)]
     q = fresh_copy(q_uniform)
     first = [run_episodes(config, q, 300) for config in configs]
     calls = []
-    for name in ("update", "predict"):
-        original = getattr(env, name)
-        monkeypatch.setattr(env, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
+    for owner, name in ((env, "update"), (env, "predict"), (WindowPlacement, "observe")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
     assert [run_episodes(config, q, 300) for config in configs] == first
     assert calls == []
     run_episodes(configs[0], fresh_copy(q_uniform), 300)  # the check has teeth: a cold table filters
-    assert {"update", "predict"} <= set(calls)
+    assert {"update", "predict", "observe"} <= set(calls)
 
 
 def test_a_tables_episodes_play_the_tables_model(q_minimax):

@@ -6,6 +6,7 @@ from rbtbench.game import (
     DRAW,
     O_WINS,
     GameStatus,
+    board_marks,
     cell_mark,
     enumerate_reachable_states,
     reachable_boards,
@@ -49,6 +50,15 @@ def test_status_examples():
     drawn = (X, X, O, O, O, X, X, X, O)
     assert oracles.winner(drawn) == 0 and oracles.is_full(drawn)
     assert status(board(*drawn)) is GameStatus.DRAW
+
+
+def test_board_marks_match_the_oracle_cells_on_every_reachable_board():
+    marks = board_marks()
+    assert [i for i, m in enumerate(marks) if m != -1] == sorted(reachable_boards())
+    assert len(marks) == 3**9 and len(reachable_boards()) == 5478
+    for index in reachable_boards():
+        m, cells = marks[index], oracles.cells_of(index)
+        assert m == sum(1 << c for c in range(9) if cells[c] == X) | sum(1 << 9 + c for c in range(9) if cells[c] == O)
 
 
 def test_status_matches_oracle_on_every_reachable_board():
