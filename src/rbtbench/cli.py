@@ -364,11 +364,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_episodes(args.episodes)
     if not args.out_dir or os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
         raise ValueError(f"--out-dir: {args.out_dir!r} is not a directory")
+    ancestor = os.path.abspath(args.out_dir)
+    while not os.path.exists(ancestor):  # "/" exists
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):  # checked before the table loads, created after: nothing is left behind
+        raise ValueError(f"--out-dir: {args.out_dir!r}: Not a directory")
+    q, q_path = _load_q(args)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:  # a parent that is a file, or one that cannot be written
+    except OSError as exc:  # say, a parent that cannot be written
         raise ValueError(f"--out-dir: {args.out_dir!r}: {exc.strerror}") from None
-    q, q_path = _load_q(args)
     rows: list[SweepRow] = []
     timestep_rows: list[tuple] = []
     for shape in shapes:

@@ -428,6 +428,15 @@ def test_sweep_into_a_bad_out_dir_fails_before_loading_the_table(kind, q_uniform
         assert (tmp_path / "results").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("depth", ["newdir", "newdir/sub"])
+def test_sweep_whose_table_fails_to_load_creates_no_out_dir(depth, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", "--q", "nope.json", "--windows", "1x1", "--episodes", "5", "--out-dir", depth) == 1
+    assert one_line_error(capsys) == "error: --q: 'nope.json': No such file or directory\n"
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta", "eps:x", "eps:nan", "eps_minimax"])
 def test_solve_with_a_bad_opponent_names_the_flag_and_the_value(spec, tmp_path, capsys):
     out = tmp_path / "q.json"

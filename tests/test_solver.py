@@ -10,6 +10,7 @@ from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.solver import (
     CorruptEntryError,
     FormatVersionMismatchError,
+    QTable,
     decision_states,
     load_qtable,
     save_qtable,
@@ -214,6 +215,49 @@ def test_load_validates_opponent_tag(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_qtable(path)
+
+
+def saved_text(q, path):
+    save_qtable(q, path)
+    return path.read_text(encoding="utf-8")
+
+
+def dumped_text(q):
+    entries = {str(i): row for i, row in q.entries.items()}
+    payload = {"version": 1, "opponent": q.opponent.descriptor, "gamma": 1.0, "entries": entries}
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def test_save_writes_what_json_dumps_writes(q_minimax, tmp_path):
+    assert saved_text(q_minimax, tmp_path / "full.json") == dumped_text(q_minimax)
+    # three decision states, not in key order: their decimal keys sort "11" < "18912" < "5"
+    rows = {5: [0.5] * 9, 18912: [-1.0, 0.25, 1 / 3, 0.0, 1.0, -0.125, 0.1, 0.2, 2 / 3], 11: [k / 7 for k in range(9)]}
+    q = QTable(opponent=parse_opponent("eps:0.3"), entries=rows)
+    text = saved_text(q, tmp_path / "partial.json")
+    assert text == dumped_text(q)
+    assert text.index('"11"') < text.index('"18912"') < text.index('"5"')
+
+
+def test_save_writes_nan_and_infinities_as_json_does(tmp_path):
+    q = QTable(opponent=parse_opponent("uniform"), entries={
+        0: [math.nan, math.inf, -math.inf, 0.5, math.nan, -math.inf, math.inf, 0.5, -1.0],
+        5: [-math.inf] * 9,
+    })
+    text = saved_text(q, tmp_path / "q.json")
+    assert text == dumped_text(q)
+    assert text.startswith('{"entries":{"0":[NaN,Infinity,-Infinity,0.5,NaN,-Infinity,Infinity,0.5,-1.0],')
+
+
+def test_save_writes_minus_zero_as_zero_and_an_int_as_its_float(tmp_path):
+    # equal values share one memo entry, whichever spelling comes first
+    q = QTable(opponent=parse_opponent("uniform"), entries={
+        0: [-0.0, 1, -1, 0.5, 0, 1.0, -1.0, -0.0, 0.0],
+        5: [1.0, 1, 0.0, -0.0, 0, -1.0, -1, 0.25, 0.25],
+    })
+    text = saved_text(q, tmp_path / "q.json")
+    assert text.startswith('{"entries":{"0":[0.0,1.0,-1.0,0.5,0.0,1.0,-1.0,0.0,0.0],'
+                           '"5":[1.0,1.0,0.0,0.0,0.0,-1.0,-1.0,0.25,0.25]},')
+    assert all(type(v) is float for row in json.loads(text)["entries"].values() for v in row)
 
 
 # uniform, minimax and eps:0.05 ... eps:0.95, the benchmark's solve-grid set
