@@ -12,7 +12,6 @@ from rbtbench import (
     WindowShape,
     initial_belief,
     mixture_values,
-    observation_distribution,
     predict,
     solve_q,
     update,
@@ -42,15 +41,21 @@ show(belief, f"after our center move + unseen reply: {len(belief)} boards")
 # a 2x2 window at the top-left is revealed: our center X and nothing else,
 # which rules out every board with the opponent's mark in cells 0, 1, or 3
 placement = WindowPlacement(top=0, left=0, shape=WindowShape(2, 2))
-contents = (0, 0, 0, 1)  # cell digits: 0 empty, 1 X, 2 O
-belief = update(belief, Observation(placement=placement, contents=contents))
+seen = 1 << 4  # the window's marks: X on cell c sets bit c, O sets bit c + 9
+belief = update(belief, Observation(placement=placement, seen=seen))
 show(belief, f"after the top-left window shows only our own mark: {len(belief)} boards")
 
 values = mixture_values(belief, q)
 print("belief-weighted action values:")
 print("  " + " ".join(f"{a}:{v:+.3f}" for a, v in enumerate(values)))
 print("\nhow likely was each observation? (2x2 windows, before the reveal)")
-dist = observation_distribution(initial_belief(), 4, opponent, WindowShape(2, 2))
+# placements are uniform and independent of the board: each gets 1/4 of the predicted mass
+predicted, placements = predict(initial_belief(), 4, opponent), WindowShape(2, 2).placements()
+dist = {}
+for pl in placements:
+    for state, p in predicted.items():
+        obs = pl.observe(state)
+        dist[obs] = dist.get(obs, 0.0) + p / len(placements)
 top = sorted(dist.items(), key=lambda kv: -kv[1])[:3]
 for o, p in top:
     marks = "".join(".XO"[c] for c in o.contents)

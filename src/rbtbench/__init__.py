@@ -17,7 +17,6 @@ from .belief import (
     WindowShape,
     ZeroEvidenceError,
     initial_belief,
-    observation_distribution,
     predict,
     update,
 )

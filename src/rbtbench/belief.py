@@ -67,8 +67,8 @@ class WindowShape:
 
     @cached_property
     def _placements(self) -> tuple["WindowPlacement", ...]:
-        # Built on first use, once per shape, with each placement's observations;
-        # not a dataclass field, so equality and hashing ignore it.
+        # Built on first use, once per shape; not a dataclass field, so
+        # equality and hashing ignore it.
         return tuple(
             WindowPlacement(top=t, left=l, shape=self)
             for t in range(4 - self.height)
@@ -97,41 +97,40 @@ class WindowPlacement:
         return self._cells
 
     def observe(self, index: int) -> "Observation":
-        """The observation of reachable board `index` (any other raises) through this window: one per contents."""
-        seen = board_marks()[index] & self.mask
+        """The observation of reachable board `index` through this window, one per ``seen``; any other raises."""
+        marks = board_marks()[index] if 0 <= index < 3**9 else -1  # a negative index would count from the end
+        if marks < 0:
+            raise ValueError(f"board {index} is not reachable by legal play from the empty board")
+        seen = marks & self.mask
         obs = self._observations.get(seen)
         if obs is None:
-            contents = tuple(seen >> c & 1 | seen >> c + 8 & 2 for c in self._cells)  # X bit 1, O bit 2
-            obs = self._observations[seen] = Observation(placement=self, contents=contents)
+            obs = self._observations[seen] = Observation(self, seen)
         return obs
 
 
 @dataclass(frozen=True)
 class Observation:
-    """A window read: the cell digits (0 empty / 1 X / 2 O) in row-major window order.
+    """A window read: ``seen``, a board's marks under the placement's ``mask``.
 
-    ``seen`` is a board's marks under the placement's ``mask`` (X cells in bits
-    0-8, O cells in 9-17).  ``key`` is ``seen | tag``, with the window's cells
-    in bits 18-26, so it stays below 2**30, a one-digit int, cheap to hash: the
-    episode loop keys its graph edges on it.
+    X cells are in bits 0-8 and O cells in bits 9-17.  ``key`` is ``seen |
+    tag``, with the window's cells in bits 18-26, so it stays below 2**30, a
+    one-digit int, cheap to hash: the episode loop keys its graph edges on it.
     """
 
     placement: WindowPlacement
-    contents: tuple[int, ...]
+    seen: int
 
     def __post_init__(self):
-        expected = self.placement.shape.height * self.placement.shape.width
-        if len(self.contents) != expected:
-            raise ValueError(f"expected {expected} cells of contents, got {len(self.contents)}")
-        seen = 0  # checked and read in one loop: ``observe`` builds one per new contents
-        for cell, c in zip(self.placement.cells(), self.contents):
-            if type(c) is not int or not 0 <= c <= 2:  # no bools or floats
-                raise ValueError(f"window contents must be cell digits 0, 1 or 2, got {list(self.contents)}")
-            seen |= (0, 1, 512)[c] << cell  # the cell's X bit or O bit
-        # Not fields.  Keys are equal exactly when observations are; an int one calls no dataclass __hash__.
-        object.__setattr__(self, "contents", tuple(self.contents))
-        object.__setattr__(self, "seen", seen)
-        object.__setattr__(self, "key", seen | self.placement.tag)
+        seen, placement = self.seen, self.placement
+        if type(seen) is not int or seen & ~placement.mask or seen & seen >> 9:  # no bools; no cell both X and O
+            raise ValueError(f"seen={seen!r} is not a read of the window cells {placement.cells()}")
+        # Not a field.  Keys are equal exactly when observations are; an int one calls no dataclass __hash__.
+        object.__setattr__(self, "key", seen | placement.tag)
+
+    @property
+    def contents(self) -> tuple[int, ...]:
+        """The cell digits (0 empty / 1 X / 2 O) in row-major window order."""
+        return tuple(self.seen >> c & 1 | self.seen >> c + 8 & 2 for c in self.placement.cells())
 
 
 def initial_belief() -> Belief:
@@ -174,25 +173,3 @@ def update(belief: Belief, obs: Observation) -> Belief:
     if not mass:
         raise ZeroEvidenceError(f"observation {obs} matches no state in the support")
     return _normalized(mass)
-
-
-def observation_distribution(
-    belief: Belief,
-    agent_action: Action,
-    opponent: OpponentModel,
-    shape: WindowShape,
-) -> dict[Observation, float]:
-    """Distribution of the next observation given a belief and our action.
-
-    Placements are uniform and state-independent, so each contributes its
-    1/#placements share of the predicted state mass.
-    """
-    predicted = predict(belief, agent_action, opponent)
-    placements = shape.placements()
-    weight = 1.0 / len(placements)
-    dist: dict[Observation, float] = {}
-    for placement in placements:
-        for index, p in predicted.items():
-            obs = placement.observe(index)
-            dist[obs] = dist.get(obs, 0.0) + weight * p
-    return dist

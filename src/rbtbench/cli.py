@@ -46,6 +46,7 @@ DEFAULT_WINDOWS = "1x1,2x1,2x2,3x1,3x2"
 RETURNS_HEADER = "window,policy,episodes,mean_return,ci95"
 TIMESTEP_HEADER = "window,policy_pair,t,mean_iou,mean_margin,samples"
 POLICY_PAIR = "mixture_vs_maxbelief"
+SWEEP_FILES = ("returns.csv", "timestep_metrics.csv", "returns.svg", "manifest.json")  # in --out-dir
 
 MARK_CHARS = ".XO"  # indexed by cell digit: empty, X, O
 
@@ -300,10 +301,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_q(args: argparse.Namespace) -> tuple[QTable, str]:
+def _load_q(args: argparse.Namespace, *outputs: tuple[str, Optional[str]]) -> tuple[QTable, str]:
+    """The table ``--q`` or ``RBT_QTABLE`` names, loaded once no (flag, path) in `outputs` is that file."""
     flag, path = ("--q", args.q) if args.q else ("RBT_QTABLE", os.environ.get("RBT_QTABLE"))
     if not path:
         raise ValueError("no Q-table: pass --q PATH or set RBT_QTABLE")
+    for out_flag, out in outputs:  # a command must not write over the table it reads
+        if out and os.path.realpath(out) == os.path.realpath(path):
+            raise ValueError(f"{out_flag}: {out!r} is the Q-table named by {flag}")
     try:
         return load_qtable(path), path
     except (OSError, ValueError) as exc:  # one line that names where the path came from
@@ -340,7 +345,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_out_path("--trace", args.trace)
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise ValueError(f"--trace: {args.trace!r} is also --out")
-    q, _ = _load_q(args)
+    q, _ = _load_q(args, ("--out", args.out), ("--trace", args.trace))
     row, results = _run_cell(q, shape, args.policy, args.episodes, args.seed)
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
@@ -353,7 +358,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # one shape per window: both cells share its placements' reads
+    # one shape per window: both cells share its placements and their observations
     shapes = [_window_shape("--windows", w) for w in args.windows.split(",") if w.strip()]
     if not shapes:
         raise ValueError(f"--windows must list at least one HxW window, got {args.windows!r}")
@@ -369,7 +374,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):  # checked before the table loads, created after: nothing is left behind
         raise ValueError(f"--out-dir: {args.out_dir!r}: Not a directory")
-    q, q_path = _load_q(args)
+    outputs = [os.path.join(args.out_dir, name) for name in SWEEP_FILES]
+    for path in outputs:
+        if os.path.isdir(path):
+            raise ValueError(f"--out-dir: {path!r} is a directory")
+    q, q_path = _load_q(args, *(("--out-dir", path) for path in outputs))
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:  # say, a parent that cannot be written
@@ -384,9 +393,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for agg in aggregate_by_timestep(results):
                     timestep_rows.append((shape.label, POLICY_PAIR, agg))
             print(sweep_row_line(row))
-    write_returns_csv(os.path.join(args.out_dir, "returns.csv"), rows)
-    write_timestep_csv(os.path.join(args.out_dir, "timestep_metrics.csv"), timestep_rows)
-    with open(os.path.join(args.out_dir, "returns.svg"), "w", encoding="utf-8") as fh:
+    returns_path, timestep_path, svg_path, manifest_path = outputs
+    write_returns_csv(returns_path, rows)
+    write_timestep_csv(timestep_path, timestep_rows)
+    with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(render_returns_svg(rows))
     manifest = {  # everything needed to reproduce the sweep bit for bit
         "tool": "rbt-bench", "version": 1, "tool_version": __version__,
@@ -394,10 +404,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "windows": labels, "policies": [MIXTURE, MAXBELIEF],
         "episodes": args.episodes, "seed": args.seed,
     }
-    with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote returns.csv, timestep_metrics.csv, returns.svg, manifest.json to {args.out_dir}")
+    print(f"wrote {', '.join(SWEEP_FILES)} to {args.out_dir}")
     return 0
 
 

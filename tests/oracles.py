@@ -47,6 +47,11 @@ def cells_of(index):
     return tuple(index // 3**i % 3 for i in range(9))
 
 
+def window_seen(covered, contents):
+    """A window read as bits: 1 << c for an X on covered cell c, 1 << c + 9 for an O."""
+    return sum((0, 1 << c, 1 << c + 9)[m] for c, m in zip(covered, contents))
+
+
 def place(index, i, mark):
     """The board index after `mark` goes on cell `i` of board `index`."""
     return board_index(put(cells_of(index), i, mark))

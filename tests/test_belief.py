@@ -12,7 +12,6 @@ from rbtbench.belief import (
     WindowShape,
     ZeroEvidenceError,
     initial_belief,
-    observation_distribution,
     predict,
     update,
 )
@@ -29,6 +28,11 @@ UNIFORM = UniformRandomOpponent()
 
 def board(*cells):
     return oracles.board_index(cells)
+
+
+def read(placement, digits):
+    """The observation of `digits` (row-major) through `placement`, built from the oracle's bits."""
+    return Observation(placement=placement, seen=oracles.window_seen(placement.cells(), digits))
 
 
 def assert_close_beliefs(got, want, tol=1e-9):
@@ -79,20 +83,20 @@ def test_initial_belief_is_point_mass_on_empty_board():
 def test_full_window_likelihood_matches_exactly():
     cells = (X, E, E, E, O, E, E, E, X)
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(3, 3))
-    obs = Observation(placement=placement, contents=cells)
+    obs = read(placement, cells)
     assert placement.observe(board(*cells)) == obs
     assert placement.observe(0) != obs
 
 
 def test_one_cell_window_mismatch():
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
-    obs = Observation(placement=placement, contents=(X,))
+    obs = read(placement, (X,))
     assert placement.observe(0) != obs
 
 
 def test_likelihood_depends_only_on_covered_cells():
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 3))
-    obs = Observation(placement=placement, contents=(X, E, E))
+    obs = read(placement, (X, E, E))
     s1 = board(X, E, E, O, E, E, E, E, E)
     s2 = board(X, E, E, E, O, E, E, E, E)
     assert placement.observe(s1) == placement.observe(s2) == obs
@@ -105,6 +109,13 @@ def test_observe_reads_the_oracle_digits_for_every_placement_and_reachable_board
             cells = placement.cells()
             for index, digits in boards:
                 assert placement.observe(index).contents == tuple(digits[c] for c in cells)
+
+
+@pytest.mark.parametrize("index", [-19682, -1, 3**9, 2], ids=["negative", "minus-one", "3**9", "unreachable"])
+def test_observe_rejects_an_index_that_is_not_a_reachable_board(index):
+    placement = WindowPlacement(top=0, left=0, shape=WindowShape(3, 3))
+    with pytest.raises(ValueError, match=rf"^board {index} is not reachable by legal play from the empty board$"):
+        placement.observe(index)
 
 
 # --- predict ------------------------------------------------------------------
@@ -150,7 +161,7 @@ def test_predict_empty_support_is_an_error():
 def test_update_is_identity_when_all_states_agree_under_the_window():
     belief = predict(initial_belief(), 4, UNIFORM)
     placement = WindowPlacement(top=1, left=1, shape=WindowShape(1, 1))
-    obs = Observation(placement=placement, contents=(X,))  # everyone has X at center
+    obs = read(placement, (X,))  # everyone has X at center
     assert_close_beliefs(update(belief, obs), belief, tol=1e-15)
 
 
@@ -159,7 +170,7 @@ def test_update_collapses_to_the_matching_state():
     s2 = board(E, O, E, E, X, E, E, E, E)
     belief = {s1: 0.5, s2: 0.5}
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
-    obs = Observation(placement=placement, contents=(O,))
+    obs = read(placement, (O,))
     assert update(belief, obs) == {s1: 1.0}
 
 
@@ -172,44 +183,9 @@ def test_full_window_collapses_any_belief():
 
 def test_update_zero_evidence_is_an_error():
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
-    obs = Observation(placement=placement, contents=(X,))
+    obs = read(placement, (X,))
     with pytest.raises(ZeroEvidenceError):
         update(initial_belief(), obs)
-
-
-# --- observation distribution ---------------------------------------------------
-
-def test_observation_distribution_point_mass_full_window():
-    dist = observation_distribution(initial_belief(), 4, UNIFORM, WindowShape(3, 3))
-    # 8 equally likely successor states, each fully revealed
-    assert len(dist) == 8
-    assert all(math.isclose(p, 1 / 8) for p in dist.values())
-
-
-def test_observation_distribution_sums_to_one():
-    for shape in (WindowShape(1, 1), WindowShape(2, 2), WindowShape(3, 2)):
-        dist = observation_distribution(initial_belief(), 0, UNIFORM, shape)
-        assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
-
-
-def test_observation_distribution_matches_direct_enumeration():
-    s1 = board(E, E, E, E, X, E, E, E, O)
-    s2 = board(O, E, E, E, X, E, E, E, E)
-    belief = {s1: 0.75, s2: 0.25}
-    shape = WindowShape(1, 1)
-    got = observation_distribution(belief, 1, UNIFORM, shape)
-
-    predicted = predict(belief, 1, UNIFORM)
-    expected = {}
-    for placement in shape.placements():
-        for s, p in predicted.items():
-            cells = oracles.cells_of(s)
-            contents = tuple(cells[c] for c in placement.cells())
-            key = Observation(placement=placement, contents=contents)
-            expected[key] = expected.get(key, 0.0) + p / 9
-    assert set(got) == set(expected)
-    for k in expected:
-        assert math.isclose(got[k], expected[k], abs_tol=1e-12)
 
 
 # --- incremental chain versus whole-history posterior ---------------------------
@@ -302,7 +278,7 @@ def test_update_equals_a_brute_force_filter_on_every_placement(h, w, picks, weig
                     if cached == "all" or (cached == "some" and k % 2 == 0):
                         placement.observe(s)
                 if by_hand:
-                    obs = Observation(placement=placement, contents=contents)
+                    obs = read(placement, contents)
                 else:
                     obs = placement.observe(true)
                 if not matched:

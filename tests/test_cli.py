@@ -1,9 +1,11 @@
 import dataclasses
+import filecmp
 import io
 import json
 import math
 import os
 import re
+import shutil
 
 import pytest
 
@@ -13,6 +15,8 @@ from rbtbench.cli import main, step_to_json
 from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
 from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent
 from rbtbench.solver import load_qtable
+
+import oracles
 
 
 def run_cli(*argv):
@@ -85,8 +89,8 @@ def test_run_full_window_policies_coincide(q_uniform_path, tmp_path):
 
 
 def observation_from_json(o: dict) -> Observation:
-    shape = WindowShape(height=o["height"], width=o["width"])
-    return Observation(placement=WindowPlacement(top=o["top"], left=o["left"], shape=shape), contents=o["contents"])
+    placement = WindowPlacement(top=o["top"], left=o["left"], shape=WindowShape(height=o["height"], width=o["width"]))
+    return Observation(placement=placement, seen=oracles.window_seen(placement.cells(), o["contents"]))
 
 
 def step_from_json(obj: dict) -> tuple[int, StepRecord]:
@@ -155,7 +159,7 @@ def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
 
 def one_cell_step() -> StepRecord:
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=1, width=1))
-    return StepRecord(t=0, observation=Observation(placement=placement, contents=(0,)), belief={0: 1.0},
+    return StepRecord(t=0, observation=Observation(placement=placement, seen=0), belief={0: 1.0},
                       belief_support_size=1, a_mix=frozenset({4}), a_max=frozenset({4}), iou=1.0, margin=0.0,
                       chosen_action=4, reward=0.0)
 
@@ -437,6 +441,62 @@ def test_sweep_whose_table_fails_to_load_creates_no_out_dir(depth, tmp_path, cap
     assert os.listdir(tmp_path) == []
 
 
+SWEEP_FILES = ("returns.csv", "timestep_metrics.csv", "returns.svg", "manifest.json")
+
+
+def qtable_flag(source, path, monkeypatch) -> list[str]:
+    """The argv that names the table at `path` by `source`, ``--q`` or ``RBT_QTABLE``."""
+    monkeypatch.delenv("RBT_QTABLE", raising=False)
+    if source == "--q":
+        return ["--q", path]
+    monkeypatch.setenv("RBT_QTABLE", path)
+    return []
+
+
+@pytest.mark.parametrize("source", ["--q", "RBT_QTABLE"])
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_run_never_writes_over_its_own_qtable(flag, source, q_uniform_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_qtable", lambda *args: pytest.fail("the table was loaded"))
+    monkeypatch.chdir(tmp_path)
+    table = tmp_path / "q.json"
+    shutil.copyfile(q_uniform_path, table)
+    argv = ["run", "--window", "2x2", "--episodes", "5", flag, "./q.json", *qtable_flag(source, "q.json", monkeypatch)]
+    assert run_cli(*argv) == 1
+    assert one_line_error(capsys) == f"error: {flag}: './q.json' is the Q-table named by {source}\n"
+    assert capsys.readouterr().out == ""
+    assert filecmp.cmp(table, q_uniform_path, shallow=False)
+    assert os.listdir(tmp_path) == ["q.json"]
+
+
+@pytest.mark.parametrize("source", ["--q", "RBT_QTABLE"])
+@pytest.mark.parametrize("name", SWEEP_FILES)
+def test_sweep_never_writes_over_its_own_qtable(name, source, q_uniform_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_qtable", lambda *args: pytest.fail("the table was loaded"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e").mkdir()
+    table = tmp_path / "e" / name
+    shutil.copyfile(q_uniform_path, table)
+    argv = ["sweep", "--windows", "1x1", "--episodes", "5", "--out-dir", "e",
+            *qtable_flag(source, os.path.join("e", name), monkeypatch)]
+    assert run_cli(*argv) == 1
+    assert one_line_error(capsys) == f"error: --out-dir: {os.path.join('e', name)!r} is the Q-table named by {source}\n"
+    assert capsys.readouterr().out == ""
+    assert filecmp.cmp(table, q_uniform_path, shallow=False)
+    assert os.listdir(tmp_path / "e") == [name]
+
+
+@pytest.mark.parametrize("name", SWEEP_FILES)
+def test_sweep_whose_output_is_a_directory_fails_before_loading_the_table(name, q_uniform_path, tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.setattr(cli, "load_qtable", lambda *args: pytest.fail("the table was loaded"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d" / name).mkdir(parents=True)
+    assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1", "--episodes", "5", "--out-dir", "d") == 1
+    assert one_line_error(capsys) == f"error: --out-dir: {os.path.join('d', name)!r} is a directory\n"
+    assert capsys.readouterr().out == ""
+    assert os.listdir(tmp_path / "d") == [name] and os.listdir(tmp_path / "d" / name) == []
+
+
 @pytest.mark.parametrize("spec", ["eps:abc", "eps:", "eps:1.5", "alphabeta", "eps:x", "eps:nan", "eps_minimax"])
 def test_solve_with_a_bad_opponent_names_the_flag_and_the_value(spec, tmp_path, capsys):
     out = tmp_path / "q.json"
@@ -548,12 +608,13 @@ def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uni
     assert message in err
 
 
-@pytest.mark.parametrize("contents", [[3, 0], [0, -1], [True, 0], [0, 1.0], [0], [0, 0, 0]])
-def test_trace_step_with_bad_observation_contents_is_rejected(contents):
-    placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=2, width=1))
+@pytest.mark.parametrize("seen", [True, 1.0, 1 << 1, 1 | 1 << 9],
+                         ids=["bool", "float", "outside-the-window", "x-and-o-on-one-cell"])
+def test_an_observation_with_a_bad_seen_is_rejected(seen):
+    placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=2, width=1))  # cells 0 and 3
     with pytest.raises(ValueError):
-        Observation(placement=placement, contents=contents)
-    assert Observation(placement=placement, contents=[0, 1]).contents == (0, 1)
+        Observation(placement=placement, seen=seen)
+    assert Observation(placement=placement, seen=1 << 3).contents == (0, 1)
 
 
 @pytest.mark.parametrize("source", ["--q", "RBT_QTABLE"])

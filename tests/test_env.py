@@ -258,13 +258,13 @@ def test_observation_keys_are_equal_exactly_when_observations_are():
     for height, width in product((1, 2, 3), repeat=2):
         for placement in WindowShape(height, width).placements():
             for contents in product((0, 1, 2), repeat=height * width):
-                obs = Observation(placement=placement, contents=contents)
+                obs = Observation(placement=placement, seen=oracles.window_seen(placement.cells(), contents))
                 assert seen.setdefault(obs.key, obs) == obs  # no two observations share a key
     assert len(seen) == 27 + 2 * 54 + 2 * 81 + 324 + 2 * 1458 + 19683  # every (placement, contents)
     for key, obs in list(seen.items())[::97]:  # an equal observation built anew gets the same key
         shape = WindowShape(obs.placement.shape.height, obs.placement.shape.width)
         twin = Observation(placement=WindowPlacement(obs.placement.top, obs.placement.left, shape),
-                           contents=list(obs.contents))
+                           seen=oracles.window_seen(obs.placement.cells(), obs.contents))
         assert twin == obs and twin.key == key
 
 

@@ -7,7 +7,7 @@ import rbtbench
 PUBLIC = {
     # belief
     "Belief", "EmptySupportError", "Observation", "WindowPlacement", "WindowShape",
-    "ZeroEvidenceError", "initial_belief", "observation_distribution", "predict", "update",
+    "ZeroEvidenceError", "initial_belief", "predict", "update",
     # env
     "MAXBELIEF", "MIXTURE", "POLICIES", "RANDOM", "EpisodeConfig", "EpisodeResult", "Outcome",
     "StepRecord", "decide", "run_episode", "run_episodes", "sample_window",
@@ -36,7 +36,7 @@ def public_names():
 
 
 def test_public_surface_is_the_pinned_list():
-    assert len(PUBLIC) <= 49
+    assert len(PUBLIC) <= 48
     assert public_names() == PUBLIC
 
 
