@@ -608,8 +608,9 @@ def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uni
     assert message in err
 
 
-@pytest.mark.parametrize("seen", [True, 1.0, 1 << 1, 1 | 1 << 9],
-                         ids=["bool", "float", "outside-the-window", "x-and-o-on-one-cell"])
+@pytest.mark.parametrize("seen", [True, 1.0, -1, 1 << 1, 1 << 18, 1 | 1 << 9],
+                         ids=["bool", "float", "negative", "outside-the-window", "beyond-the-board",
+                              "x-and-o-on-one-cell"])
 def test_an_observation_with_a_bad_seen_is_rejected(seen):
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=2, width=1))  # cells 0 and 3
     with pytest.raises(ValueError):
