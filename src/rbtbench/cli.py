@@ -70,10 +70,13 @@ def sweep_row_line(row: SweepRow) -> str:
 
 def write_returns_csv(path: str, rows: Sequence[SweepRow], append: bool = False) -> None:
     """Write the header and `rows`; with `append`, add `rows` to a file that exists and is not empty instead."""
-    fresh = not (append and os.path.exists(path) and os.path.getsize(path))
-    with open(path, "w" if fresh else "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(RETURNS_HEADER + "\n")
+    mode, lead = "w", RETURNS_HEADER + "\n"
+    if append and os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            mode, lead = "a", "" if fh.read(1) == b"\n" else "\n"  # a row never joins an unfinished line
+    with open(path, mode, encoding="utf-8") as fh:
+        fh.write(lead)
         for row in rows:
             fh.write(sweep_row_line(row) + "\n")
 
@@ -321,6 +324,11 @@ def _check_episodes(episodes: int) -> None:
         raise ValueError(f"--episodes must be at least 2 (the 95% CI needs two returns), got {episodes}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # Random(-s) seeds as Random(s) does, so a batch would repeat its episodes
+        raise ValueError(f"--seed must be at least 0, got {seed}")
+
+
 def _window_shape(flag: str, text: str) -> WindowShape:
     """The window an HxW flag value names; a bad one fails before any episode runs."""
     try:
@@ -341,6 +349,7 @@ def _run_cell(
 def cmd_run(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
     _check_episodes(args.episodes)
+    _check_seed(args.seed)
     _check_out_path("--out", args.out)
     _check_out_path("--trace", args.trace)
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
@@ -367,6 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if labels.count(label) > 1:  # a repeated cell would write its rows twice
             raise ValueError(f"--windows lists the window {label} more than once, got {args.windows!r}")
     _check_episodes(args.episodes)
+    _check_seed(args.seed)
     if not args.out_dir or os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
         raise ValueError(f"--out-dir: {args.out_dir!r} is not a directory")
     ancestor = os.path.abspath(args.out_dir)
@@ -413,6 +423,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     shape = _window_shape("--window", args.window)
+    _check_seed(args.seed)
     q, _ = _load_q(args)
     config = EpisodeConfig(shape=shape, policy=MIXTURE, seed=args.seed)
     [result] = run_episodes(config, q, 1)

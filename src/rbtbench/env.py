@@ -67,6 +67,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if self.seed < 0:  # Random(-s) seeds as Random(s) does, so episodes would repeat
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(slots=True)
@@ -151,7 +153,10 @@ def decide(belief: Belief, q: QTable) -> Decision:
     if decision is None:
         mix_vals = mixture_values(belief, q)
         a_mix, mix_choices = _shared(argmax_set(mix_vals))
-        a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
+        if len(key) == 2 and key[1] == 1.0:  # one board at mass 1.0: alt_values is this very sum
+            a_max, max_choices = a_mix, mix_choices
+        else:
+            a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
         margin = max(mix_vals) - mean_value(mix_vals, a_max)
         decision = q._decisions[key] = Decision(
             a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices, {}
@@ -209,22 +214,11 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             board = replies[board][_sample_reply(q.opponent, board, rng)]
             reward, outcome = _ENDED_BY_O.get(board, (0.0, None))
 
-        steps.append(
-            StepRecord(
-                t=t,
-                observation=obs,
-                belief=dict(belief),  # the cached posterior stays private
-                belief_support_size=len(belief),
-                a_mix=decision.a_mix,
-                a_max=decision.a_max,
-                iou=decision.iou,
-                margin=decision.margin,
-                chosen_action=action,
-                reward=reward,
-            )
-        )
+        # positional, in field order; the cached posterior stays private, so a step gets a copy
+        steps.append(StepRecord(t, obs, dict(belief), len(belief), decision.a_mix, decision.a_max,
+                                decision.iou, decision.margin, action, reward))
         if outcome is not None:
-            return EpisodeResult(steps=steps, total_return=reward, outcome=outcome, true_states=true_states)
+            return EpisodeResult(steps, reward, outcome, true_states)
         node = decision.predictions.get(action)
         if node is None:
             node = decision.predictions[action] = (predict(belief, action, q.opponent), {})

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from rbtbench import cli
+from rbtbench import cli, env
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
 from rbtbench.cli import main, step_to_json
 from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
@@ -518,6 +518,37 @@ def test_episodes_below_two_is_an_error(q_uniform_path, tmp_path, capsys):
             err = one_line_error(capsys)
             assert "--episodes" in err and err.rstrip().endswith(f"got {episodes}")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_fails_before_the_table_loads(q_uniform_path, tmp_path, capsys, monkeypatch):
+    ran, loaded = [], []
+    monkeypatch.setattr(env, "run_episode", lambda config, q: ran.append(config))
+    monkeypatch.setattr(cli, "load_qtable", lambda path: loaded.append(path))
+    commands = (
+        ("run", "--q", q_uniform_path, "--window", "1x1", "--episodes", "5", "--out", str(tmp_path / "rows.csv")),
+        ("sweep", "--q", q_uniform_path, "--windows", "1x1", "--episodes", "5", "--out-dir", str(tmp_path / "out")),
+        ("replay", "--q", q_uniform_path, "--window", "1x1"),
+    )
+    for argv in commands:
+        for seed in ("-1", "-2"):
+            assert run_cli(*argv, "--seed", seed) == 1
+            assert one_line_error(capsys) == f"error: --seed must be at least 0, got {seed}\n"
+            assert capsys.readouterr().out == ""
+    assert ran == loaded == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("before", ["window,policy,episodes,mean_return,ci95\n1x1,mixture,5,0.2,0.1",
+                                    "window,policy,episodes,mean_return,ci95\n1x1,mixture,5,0.2,0.1\n",
+                                    "window,policy,episodes,mean_return,ci95"],
+                         ids=["row-without-newline", "row-with-newline", "header-without-newline"])
+def test_run_out_puts_its_row_on_a_line_of_its_own(before, q_uniform_path, tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    csv.write_text(before)
+    assert run_cli("run", "--q", q_uniform_path, "--window", "1x1", "--episodes", "5", "--seed", "3",
+                   "--out", str(csv)) == 0
+    _, row = capsys.readouterr().out.splitlines()
+    assert csv.read_text() == before.rstrip("\n") + "\n" + row + "\n"
 
 
 def test_qtable_with_missing_and_extra_states_fails_before_any_episode(q_uniform_path, tmp_path, capsys):

@@ -12,7 +12,10 @@ from rbtbench.env import (
     MIXTURE,
     RANDOM,
     EpisodeConfig,
+    EpisodeResult,
     Outcome,
+    StepRecord,
+    decide,
     run_episode,
     run_episodes,
     sample_window,
@@ -99,6 +102,22 @@ def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_unifo
     run_episodes(config, q_uniform, 3)
     assert checked[before:] == configs  # one check per episode
     assert configs == [replace(config, seed=7 + i) for i in range(3)]
+
+
+def test_run_episode_builds_its_records_in_field_order():
+    # run_episode passes both records' fields by position; a reordered field would land in the wrong slot
+    assert [f.name for f in fields(StepRecord)] == ["t", "observation", "belief", "belief_support_size", "a_mix",
+                                                    "a_max", "iou", "margin", "chosen_action", "reward"]
+    assert [f.name for f in fields(EpisodeResult)] == ["steps", "total_return", "outcome", "true_states"]
+
+
+def test_a_negative_seed_is_rejected():
+    # Random(-s) seeds as Random(s) does: seeds -2 .. 2 would play two episodes twice
+    assert random.Random(-2).random() == random.Random(2).random()
+    for seed in (-1, -2, -(10 ** 9)):
+        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed}$"):
+            EpisodeConfig(WindowShape(1, 1), MIXTURE, seed)
+    assert EpisodeConfig(WindowShape(1, 1), MIXTURE, 0).seed == 0
 
 
 def test_invalid_policy_rejected():
@@ -239,7 +258,7 @@ def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
 
 def test_step_decisions_match_the_policy_functions(q_uniform):
     # each step's memoized decision against a cold recomputation from the policy functions
-    for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(3, 1)):
+    for shape in (WindowShape(1, 1), WindowShape(2, 1), WindowShape(3, 1), WindowShape(3, 3)):
         config = EpisodeConfig(shape=shape, seed=410)
         for result in run_episodes(config, q_uniform, 150):
             for step in result.steps:
@@ -249,6 +268,43 @@ def test_step_decisions_match_the_policy_functions(q_uniform):
                 assert step.a_max == a_max
                 assert step.margin == max(values) - mean_value(values, a_max)  # exact, not close
                 assert step.iou == iou(step.a_mix, step.a_max)
+
+
+def counting_alt_values(monkeypatch):
+    """The belief of every ``alt_values`` call ``decide`` makes."""
+    calls = []
+    original = env.alt_values
+    monkeypatch.setattr(env, "alt_values", lambda belief, q: calls.append(dict(belief)) or original(belief, q))
+    return calls
+
+
+def test_decide_at_one_board_of_any_mass_matches_the_policy_functions(monkeypatch, q_uniform_cold):
+    # one board at mass 1.0 reuses the mixture sum; at any other mass the baseline's own sum runs
+    calls = counting_alt_values(monkeypatch)
+    boards = sorted(q_uniform_cold.entries)[::97]
+    for board, mass in product(boards, (1.0, 0.5, 0.25, 1.5)):
+        belief = {board: mass}
+        decision = decide(belief, q_uniform_cold)
+        values = mixture_values(belief, q_uniform_cold)
+        a_max = argmax_set(alt_values(belief, q_uniform_cold))
+        assert decision.a_mix == argmax_set(values)
+        assert decision.a_max == a_max and decision.max_choices == tuple(sorted(a_max))
+        assert decision.iou == iou(decision.a_mix, a_max)
+        assert decision.margin == max(values) - mean_value(values, a_max)  # exact, not close
+    assert calls == [{board: mass} for board, mass in product(boards, (0.5, 0.25, 1.5))]
+
+
+def test_only_a_posterior_of_more_than_one_board_runs_the_baselines_sum(monkeypatch, q_uniform_cold):
+    calls = counting_alt_values(monkeypatch)
+    run_episodes(EpisodeConfig(shape=WindowShape(3, 3), seed=1500), q_uniform_cold, 200)
+    assert calls == []  # every posterior a full window leaves is one board
+    q = fresh_copy(q_uniform_cold)
+    results = run_episodes(EpisodeConfig(shape=WindowShape(1, 1), seed=1500), q, 200)
+    posteriors = {tuple(step.belief.items()) for result in results for step in result.steps}
+    one_board = {items for items in posteriors if len(items) == 1}
+    assert one_board and all(p == 1.0 for [(_, p)] in one_board)  # the filter leaves one board at mass 1.0
+    assert sorted(tuple(belief.items()) for belief in calls) == sorted(posteriors - one_board)
+    assert len(calls) == len(q._decisions) - 1 - len(one_board)  # one call per computed decision but the root
 
 
 # --- the belief-transition graph -------------------------------------------------
