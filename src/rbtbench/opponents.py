@@ -2,7 +2,7 @@
 
 The opponent sees the whole board, so each model maps a reachable O-to-move
 board to a probability distribution over its legal replies.  One rule,
-``_replies(eps, index)``, plays uniformly with probability eps and minimax
+``_replies(eps, best)``, plays uniformly with probability eps and minimax
 (game-theoretic best replies, ties split uniformly) otherwise; the three
 models are its eps:
 
@@ -10,15 +10,18 @@ models are its eps:
 * ``MinimaxOpponent`` -- eps 0, read off the minimax values of the whole game.
 * ``EpsilonMinimaxOpponent(eps)`` -- any eps in [0, 1].
 
-Models are frozen values, shared across episode workers and each the key of
-one reply table: ``reply_distribution``, the one entry point, builds a model's
-table for every board O can move on in one pass and looks boards up there.
-Its 2097 boards have at most 1014 distinct reply tuples, so a table keeps one
-object per distinct tuple and per distinct (cell, probability) pair.
+Models are frozen values, shared across episode workers; a model's eps keys
+one reply table.  ``reply_distribution``, the one entry point, builds the table
+for every board O can move on in one pass and looks boards up there.  The rule
+sees only which of a board's empty cells are best replies: 61 patterns among
+the 2097 boards, and for eps 1 only their number, 4 patterns.  So it runs once
+per pattern, each board's cells are zipped in, and a table keeps one object per
+distinct reply tuple (at most 1014) and per distinct (cell, probability) pair.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import nextafter, ulp
@@ -49,41 +52,36 @@ def game_value() -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _minimax_replies(index: int) -> tuple[tuple[int, float], ...]:
-    """O's game-theoretic best replies on an after-X board, ties split uniformly."""
+def _minimax_replies(index: int) -> tuple[int, ...]:
+    """O's game-theoretic best replies on an after-X board, in cell order."""
     values = game_value()
     succ = transitions()[1][index]
-    winners = [c for c in reachable_boards()[index][2] if values[succ[c]] == values[index]]
-    p = 1.0 / len(winners)
-    return tuple((c, p) for c in winners)
+    return tuple(c for c in reachable_boards()[index][2] if values[succ[c]] == values[index])
 
 
-def _replies(eps: float, index: int) -> tuple[tuple[int, float], ...]:
-    """(cell, probability) pairs for O on an after-X board under the reply rule with this eps."""
-    cells = reachable_boards()[index][2]
-    base = eps / len(cells)
+def _replies(eps: float, best: tuple[bool, ...]) -> list[float]:
+    """O's probability for each of its empty cells under the reply rule with this eps, 0.0 for a cell it never
+    plays; best[j] says whether the j-th empty cell is a best reply, and nothing else about a board matters."""
+    base = eps / len(best)
     share = 1.0 - eps
-    best = dict(_minimax_replies(index)) if share else {}  # uniform needs no game_value
-    probs = []
+    # eps / n plus (1 - eps) * p, in this order: Q-tables and episode sampling
+    # depend on these exact floats; uniform (share 0) needs no best replies
+    top = base + share * (1.0 / best.count(True)) if share else base
+    probs = [top if b else base for b in best]
     total = 0.0
-    for c in cells:
-        # eps / n plus (1 - eps) * p, in this order: Q-tables and episode
-        # sampling depend on these exact floats
-        p = base + share * best[c] if c in best else base
-        if p > 0.0:
-            probs.append((c, p))
-            total += p
+    for p in probs:
+        total += p
     # Summed in the order sampling and the solver sum them, rounding can put the
     # total above 1, or (eps 3e-16) more than an ulp below it; then the largest
     # probability moves one ulp toward the gap at a time until it does not (at
     # most four steps down on the eps grid, one up for eps 2e-16 to 1e-15).
     while not 1.0 - ulp(1.0) <= total <= 1.0:
-        j = max(range(len(probs)), key=lambda i: probs[i][1])
-        probs[j] = (probs[j][0], nextafter(probs[j][1], 0.0 if total > 1.0 else 2.0))
+        j = probs.index(max(probs))
+        probs[j] = nextafter(probs[j], 0.0 if total > 1.0 else 2.0)
         total = 0.0
-        for _, p in probs:
+        for p in probs:
             total += p
-    return tuple(probs)
+    return probs
 
 
 # eps (for _replies) and descriptor (the Q-table header tag) are class constants, not fields
@@ -114,27 +112,34 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 
 @lru_cache(maxsize=None)
-def _situations(uniform: bool) -> tuple[list[int], ...]:
-    """The after-X boards grouped by what their replies depend on: the empty cells and, unless uniform, the best replies."""
-    boards, groups = reachable_boards(), {}
+def _situations(uniform: bool) -> dict[tuple[bool, ...], dict[tuple[int, ...], list[int]]]:
+    """The after-X boards grouped by what their replies depend on: which of their empty cells are best
+    replies (none, if uniform), then the empty cells themselves."""
+    boards, groups = reachable_boards(), defaultdict(lambda: defaultdict(list))
     for i in transitions()[1]:
-        groups.setdefault(boards[i][2] if uniform else (boards[i][2], _minimax_replies(i)), []).append(i)
-    return tuple(groups.values())
+        cells = boards[i][2]
+        best = (False,) * len(cells) if uniform else tuple(map(_minimax_replies(i).__contains__, cells))
+        groups[best][cells].append(i)
+    return groups
 
 
 @lru_cache(maxsize=None)
-def _reply_table(model: OpponentModel) -> dict[int, tuple[tuple[int, float], ...]]:
-    """Board -> the model's (cell, probability) pairs, for every board O can move on: the after-X boards of the rules.
+def _reply_table(eps: float) -> dict[int, tuple[tuple[int, float], ...]]:
+    """Board -> (cell, probability) pairs under the reply rule with this eps, for every board O can move on:
+    the after-X boards of the rules.
 
-    ``_replies`` runs once per situation, and equal reply tuples, and equal pairs within them, are one object.
+    ``_replies`` runs once per pattern of best replies (61, or 4 for eps 1) and each situation's cells are
+    zipped in; equal reply tuples, and equal pairs within them, are one object.
     """
-    eps, shared = model.eps, {}
+    shared = {}
     table = dict.fromkeys(transitions()[1])  # the boards in the rules' order
-    for group in _situations(eps == 1.0):
-        replies = tuple([shared.setdefault(pair, pair) for pair in _replies(eps, group[0])])
-        replies = shared.setdefault(replies, replies)
-        for i in group:
-            table[i] = replies
+    for best, situations in _situations(eps == 1.0).items():
+        probs = _replies(eps, best)
+        for cells, group in situations.items():
+            replies = tuple([shared.setdefault(pair, pair) for pair in zip(cells, probs) if pair[1] > 0.0])
+            replies = shared.setdefault(replies, replies)
+            for i in group:
+                table[i] = replies
     return table
 
 
@@ -145,7 +150,7 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
     TerminalStateError if it is finished and ValueError if X is to move.
     """
     try:
-        return _reply_table(model)[index]
+        return _reply_table(model.eps)[index]  # a float hashes faster than the model
     except KeyError:
         pass
     if index not in reachable_boards():

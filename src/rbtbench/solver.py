@@ -102,7 +102,7 @@ def save_qtable(q: QTable, path) -> None:
     apart, so every value is written as ``json.dumps(float(v))`` (repr, which round-trips) and
     -0.0 as ``0.0``; NaN and the infinities as ``NaN``, ``Infinity`` and ``-Infinity``.
     """
-    text = _FloatTexts({0.0: "0.0"}).__getitem__
+    text = _Memo(lambda value: json.dumps(float(value)), {0.0: "0.0"}).__getitem__
     entries = q.entries
     body = ",".join([f'"{i}":[{",".join(map(text, entries[i]))}]' for i in sorted(entries, key=str)])
     # values are undiscounted; load_qtable accepts no other gamma
@@ -112,12 +112,16 @@ def save_qtable(q: QTable, path) -> None:
         fh.write(f'{{"entries":{{{body}}},{header[1:]}\n')  # "entries" sorts before the header's keys
 
 
-class _FloatTexts(dict):
-    """Value -> its JSON text as a float, formatted on first lookup."""
+class _Memo(dict):
+    """key -> ``make(key)``, made on first lookup."""
 
-    def __missing__(self, value) -> str:
-        text = self[value] = json.dumps(float(value))
-        return text
+    def __init__(self, make, *known):
+        super().__init__(*known)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def load_qtable(path) -> QTable:
@@ -126,9 +130,15 @@ def load_qtable(path) -> QTable:
     After the header and the keys, rows are checked for shape (a list of nine), then type (JSON
     numbers), then range ([-1, 1]), each check over all rows before the next; the error names the
     first row in file order that fails the first failing check.  JSON integers are read as floats.
+    Each distinct number text is parsed once, to one float object, so the range check reads those
+    few values and scans the rows only when the file holds an int in a row or an out-of-range float.
     """
+    floats = _Memo(float)  # number text -> its float
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh, parse_float=floats.__getitem__, parse_constant=floats.__getitem__)
+        except RecursionError:  # say, "[" * 200000
+            raise CorruptEntryError("the JSON nests too deeply for a Q-table file") from None
     if not isinstance(payload, dict):
         raise CorruptEntryError(f"a Q-table file holds a JSON object, this one holds {_json_type(payload)}")
     version = payload.get("version")
@@ -156,14 +166,14 @@ def load_qtable(path) -> QTable:
     values = rows.values()
     if set(map(type, values)) != {list} or set(map(len, values)) != {9}:
         raise _first_bad_row(rows, lambda row: isinstance(row, list) and len(row) == 9, "expected 9 action values")
-    flat = list(chain.from_iterable(values))
-    types = set(map(type, flat))
+    types = set(map(type, chain.from_iterable(values)))
     if not types <= {float, int}:  # JSON numbers only; type(True) is bool
         raise _first_bad_row(rows, lambda row: set(map(type, row)) <= {float, int}, "action values must be numbers")
-    if not _in_range(flat):
+    ints = int in types
+    # with no int in a row, every row value is one of the floats parsed
+    if (ints or not _in_range(floats.values())) and not _in_range(list(chain.from_iterable(values))):
         raise _first_bad_row(rows, _in_range, "value outside [-1, 1]")
-    floats = int not in types
-    entries = {states[key]: row if floats else list(map(float, row)) for key, row in rows.items()}
+    entries = {states[key]: list(map(float, row)) if ints else row for key, row in rows.items()}
     return QTable(opponent=opponent, entries=entries)
 
 

@@ -669,3 +669,15 @@ def test_a_bad_qtable_file_names_the_flag_and_the_path(kind, source, tmp_path, m
     err = one_line_error(capsys)
     assert err.startswith(f"error: {source}: {str(path)!r}: ")
     assert "Errno" not in err  # the reason is said once, without the path again
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_a_qtable_file_nested_too_deeply_fails_in_one_line(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_episodes", lambda *args: pytest.fail("an episode ran"))
+    path = tmp_path / "q.json"
+    path.write_text("[" * 200000)
+    argv = [command, "--q", str(path), "--window", "2x2"] + (["--episodes", "5"] if command == "run" else [])
+    assert run_cli(*argv) == 1
+    err = one_line_error(capsys)  # no Traceback
+    assert err == f"error: --q: {str(path)!r}: the JSON nests too deeply for a Q-table file\n"
+    assert capsys.readouterr().out == ""

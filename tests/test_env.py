@@ -401,6 +401,6 @@ def test_a_tables_episodes_play_the_tables_model(q_minimax):
             for step, board, after_o in zip(result.steps, result.true_states, result.true_states[1:]):
                 after_x = board + 3 ** step.chosen_action  # X's mark is digit 1
                 [reply] = [c for c in range(9) if cell_mark(after_o, c) != cell_mark(after_x, c)]
-                assert reply in dict(opponents._minimax_replies(after_x))
+                assert reply in opponents._minimax_replies(after_x)
                 checked += 1
     assert checked > 100

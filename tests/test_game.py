@@ -193,4 +193,4 @@ def test_decision_states_are_the_keys_of_moves():
 
 @pytest.mark.parametrize("model", [UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.3)])
 def test_each_reply_table_covers_exactly_the_after_x_boards(model):
-    assert _reply_table(model).keys() == transitions()[1].keys()
+    assert _reply_table(model.eps).keys() == transitions()[1].keys()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rbtbench import opponents
 from rbtbench.game import transitions
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
@@ -135,18 +136,18 @@ def test_uniform_reply_table_does_not_compute_game_values():
     # a uniform-only run must not pay for the minimax values of the whole game
     game_value.cache_clear()
     _minimax_replies.cache_clear()
-    _reply_table.__wrapped__(UniformRandomOpponent())
+    _reply_table.__wrapped__(UniformRandomOpponent().eps)
     assert game_value.cache_info().currsize == 0
     assert _minimax_replies.cache_info().currsize == 0
 
 
 def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform_table():
     # eps == 1 groups boards by their empty cells alone for the eps class too, not only for UniformRandomOpponent
-    uniform = _reply_table(UniformRandomOpponent())
+    uniform = _reply_table(UniformRandomOpponent().eps)
     game_value.cache_clear()
     _minimax_replies.cache_clear()
     _situations.cache_clear()
-    table = _reply_table.__wrapped__(EpsilonMinimaxOpponent(1.0))
+    table = _reply_table.__wrapped__(EpsilonMinimaxOpponent(1.0).eps)
     assert game_value.cache_info().currsize == 0
     assert _minimax_replies.cache_info().currsize == 0
 
@@ -163,12 +164,32 @@ def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform
     (EpsilonMinimaxOpponent(0.35), 1014, 143),
 ], ids=["uniform", "minimax", "eps0.05", "eps0.35"])
 def test_reply_table_holds_one_object_per_distinct_tuple_and_pair(model, n_tuples, n_pairs):
-    table = _reply_table(model)
+    table = _reply_table(model.eps)
     assert list(table) == list(transitions()[1])  # every O-to-move board, in the rules' order
     tuples = table.values()
     pairs = [pair for replies in tuples for pair in replies]
     assert len({id(t) for t in tuples}) == len(set(tuples)) == n_tuples
     assert len({id(pair) for pair in pairs}) == len(set(pairs)) == n_pairs
+
+
+# the solve-grid eps values, 0 (minimax) and 1 (uniform), and eps so small that the ulp correction moves a
+# probability up
+EPS_GRID = [k / 20 for k in range(21)] + [3e-16, 2e-16, 1e-15, 1e-14]
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_the_reply_rule_runs_once_per_pattern_of_best_replies(eps, monkeypatch):
+    calls = []
+    rule = opponents._replies
+
+    def counting(eps, best):
+        calls.append(best)
+        return rule(eps, best)
+
+    monkeypatch.setattr(opponents, "_replies", counting)
+    table = _reply_table.__wrapped__(eps)
+    assert len(calls) == len(set(calls)) <= (4 if eps == 1.0 else 61)
+    assert table == _reply_table(eps)
 
 
 def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_board():
@@ -179,14 +200,15 @@ def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_b
     assert values[0] == 0  # perfect play draws
 
 
-@pytest.mark.parametrize("eps", [k / 20 for k in range(21)] + [3e-16])
+@pytest.mark.parametrize("eps", EPS_GRID)
 def test_eps_replies_equal_the_dict_then_sorted_formula_exactly(eps):
     # episodes with an eps opponent sample from these tuples, which the
-    # Q-table digests do not cover
+    # Q-table digests do not cover; the table is built per pattern of best
+    # replies, and each board's tuple must equal this per-board rule bit for bit
     model = EpsilonMinimaxOpponent(eps)
     for index in o_to_move_states():
-        cells = oracles.cells_of(index)
-        assert reply_distribution(model, index) == oracles.eps_minimax_reply_tuple(cells, eps)
+        want = oracles.eps_minimax_reply_tuple(oracles.cells_of(index), eps)
+        assert [(c, p.hex()) for c, p in reply_distribution(model, index)] == [(c, p.hex()) for c, p in want]
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,52 @@ def test_load_rejects_an_entry_key_that_save_qtable_never_writes(q_uniform_path,
         load_qtable(path)
 
 
+def test_load_makes_one_float_object_per_distinct_value(q_uniform_path):
+    values = [v for row in load_qtable(q_uniform_path).entries.values() for v in row]
+    assert len(values) == 2423 * 9
+    assert len({id(v) for v in values}) == len(set(values)) < 100
+
+
+def test_load_ignores_an_out_of_range_float_in_a_header_key(q_uniform, q_uniform_path, tmp_path):
+    # a float outside [-1, 1] that sits in no row makes the range check scan the rows, and they pass
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["note"] = 5.0
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    assert load_qtable(path).entries == q_uniform.entries
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_names_the_first_row_with_a_non_finite_value(q_uniform_path, tmp_path, value):
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    keys = list(payload["entries"])
+    for key in (keys[-1], keys[100]):
+        payload["entries"][key][2] = value
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptEntryError, match=rf"^state {keys[100]}: value outside \[-1, 1\]$"):
+        load_qtable(path)
+
+
+def test_load_rejects_an_int_outside_the_range(q_uniform_path, tmp_path):
+    # every float in the file is in range, so only the int makes the range check fail
+    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload["entries"]["45"][4] = 2
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(payload))
+    assert '"45": [' in path.read_text() and ", 2, " in path.read_text()
+    with pytest.raises(CorruptEntryError, match=r"^state 45: value outside \[-1, 1\]$"):
+        load_qtable(path)
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_load_fails_in_one_line_on_json_nested_too_deeply(tmp_path, opener):
+    path = tmp_path / "q.json"
+    path.write_text(opener * 200000)
+    with pytest.raises(CorruptEntryError, match="^the JSON nests too deeply for a Q-table file$"):
+        load_qtable(path)
+
+
 def test_load_validates_opponent_tag(tmp_path):
     path = tmp_path / "q.json"
     payload = {"version": 1, "opponent": "alphabeta", "gamma": 1.0, "entries": {}}
@@ -272,6 +318,10 @@ def test_every_solve_grid_table_saves_reloads_and_compares_equal(tmp_path):
         save_qtable(q, path)
         loaded = load_qtable(path)
         assert loaded == q, spec  # opponent and every float
+        # each number text parsed once gives the floats a plain json.load gives, bit for bit
+        plain = json.loads(path.read_text(encoding="utf-8"))["entries"]
+        assert [[v.hex() for v in row] for row in loaded.entries.values()] == \
+            [[v.hex() for v in row] for row in plain.values()], spec
 
 
 def test_eps_045_expectations_stay_within_the_unit_interval():
