@@ -10,13 +10,12 @@ models are its eps:
 * ``MinimaxOpponent`` -- eps 0, read off the minimax values of the whole game.
 * ``EpsilonMinimaxOpponent(eps)`` -- any eps in [0, 1].
 
-Models are frozen values, shared across episode workers; a model's eps keys
-one reply table.  ``reply_distribution``, the one entry point, builds the table
-for every board O can move on in one pass and looks boards up there.  The rule
-sees only which of a board's empty cells are best replies: 61 patterns among
-the 2097 boards, and for eps 1 only their number, 4 patterns.  So it runs once
-per pattern, each board's cells are zipped in, and a table keeps one object per
-distinct reply tuple (at most 1014) and per distinct (cell, probability) pair.
+Models are frozen values, shared across episode workers.  The rule sees only
+which of a board's empty cells are best replies: 61 patterns among the 2097
+boards O can move on, 4 for eps 1 (only their number).  So it runs once per
+pattern: ``solve_q`` folds each board's cells with its pattern's probabilities,
+and ``reply_distribution``, the episodes' entry point, reads a table per eps
+with one object per distinct reply tuple (at most 1014) and (cell, p) pair.
 """
 
 from __future__ import annotations
@@ -102,8 +101,11 @@ class EpsilonMinimaxOpponent:
     eps: float
 
     def __post_init__(self):
+        if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)):
+            raise ValueError(f"eps_minimax must be a number, got {self.eps!r}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
+        object.__setattr__(self, "eps", float(self.eps))  # an int eps is written to a Q-table as its float
 
     descriptor = property(lambda self: {"eps_minimax": self.eps})
 
@@ -124,9 +126,22 @@ def _situations(uniform: bool) -> dict[tuple[bool, ...], dict[tuple[int, ...], l
 
 
 @lru_cache(maxsize=None)
+def _situation_index(uniform: bool) -> dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """After-X board -> (k, cells, succ): the k-th pattern of ``_situations``, its empty cells and its reply row."""
+    replies = transitions()[1]
+    return {i: (k, cells, replies[i]) for k, by_cells in enumerate(_situations(uniform).values())
+            for cells, group in by_cells.items() for i in group}
+
+
+def _pattern_replies(eps: float) -> tuple[dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]], list[list[float]]]:
+    """``solve_q``'s view of the rule: ``_situation_index`` for this eps, and at k the k-th pattern's ``_replies``."""
+    return _situation_index(eps == 1.0), [_replies(eps, best) for best in _situations(eps == 1.0)]
+
+
+@lru_cache(maxsize=None)
 def _reply_table(eps: float) -> dict[int, tuple[tuple[int, float], ...]]:
     """Board -> (cell, probability) pairs under the reply rule with this eps, for every board O can move on:
-    the after-X boards of the rules.
+    the after-X boards of the rules; episodes read it, the solver does not.
 
     ``_replies`` runs once per pattern of best replies (61, or 4 for eps 1) and each situation's cells are
     zipped in; equal reply tuples, and equal pairs within them, are one object.
@@ -166,8 +181,5 @@ def from_descriptor(desc) -> OpponentModel:
     if desc == "minimax":
         return MinimaxOpponent()
     if isinstance(desc, dict) and set(desc) == {"eps_minimax"}:
-        eps = desc["eps_minimax"]
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise ValueError(f"eps_minimax must be a number, got {eps!r}")
-        return EpsilonMinimaxOpponent(eps=float(eps))
+        return EpsilonMinimaxOpponent(desc["eps_minimax"])
     raise ValueError(f"unknown opponent descriptor {desc!r}")

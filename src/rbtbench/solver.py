@@ -21,7 +21,8 @@ from itertools import chain
 from math import isnan
 
 from .game import DRAW, O_WINS, enumerate_reachable_states, transitions
-from .opponents import OpponentModel, from_descriptor, reply_distribution
+from .opponents import OpponentModel, _pattern_replies, from_descriptor
+from .opponents import reply_distribution  # not called here, but perfbench/tracer.py's CALL_SITES patches it
 
 FORMAT_VERSION = 1
 
@@ -65,27 +66,23 @@ def solve_q(opponent: OpponentModel) -> QTable:
 
     Walks ``game.transitions()`` bottom-up: a row starts from the state's
     episode-ending rewards, and each after-X expectation is computed once,
-    from the already solved values of its after-O boards.  Reply
-    probabilities add up, in this order, to at most 1, so no expectation
-    leaves [-1, 1].
+    from the solved values of its after-O boards as one fold, ``total += p *
+    value[after-O board]`` (loss -1.0, draw 0.0), bit for bit the sum over
+    ``reply_distribution``; reply probabilities sum to at most 1, so it stays in [-1, 1].
     """
-    moves, replies = transitions()
+    situation, probs = _pattern_replies(opponent.eps)
     entries: dict[int, list[float]] = {}
-    values: dict[int, float] = {}  # decision state -> max-action value
+    values = {O_WINS: -1.0, DRAW: 0.0}  # and decision state -> max-action value
     expectations: dict[int, float] = {}  # after-X board -> expected value
-    for index, (ends, after_xs) in moves.items():
+    for index, (ends, after_xs) in transitions()[0].items():
         row = list(ends)
         for action, after_x in after_xs.items():
             total = expectations.get(after_x)
             if total is None:
-                succ = replies[after_x]
+                k, cells, succ = situation[after_x]
                 total = 0.0
-                for reply, p in reply_distribution(opponent, after_x):
-                    after_o = succ[reply]
-                    if after_o == O_WINS:
-                        total -= p
-                    elif after_o != DRAW:
-                        total += p * values[after_o]
+                for cell, p in zip(cells, probs[k]):
+                    total += p * values[succ[cell]]
                 expectations[after_x] = total
             row[action] = total
         entries[index] = row
@@ -104,12 +101,18 @@ def save_qtable(q: QTable, path) -> None:
     """
     text = _Memo(lambda value: json.dumps(float(value)), {0.0: "0.0"}).__getitem__
     entries = q.entries
-    body = ",".join([f'"{i}":[{",".join(map(text, entries[i]))}]' for i in sorted(entries, key=str)])
+    order = _state_order() if entries.keys() == transitions()[0].keys() else sorted(entries, key=str)
+    body = ",".join([f'"{i}":[{",".join(map(text, entries[i]))}]' for i in order])
     # values are undiscounted; load_qtable accepts no other gamma
     header = json.dumps({"gamma": 1.0, "opponent": q.opponent.descriptor, "version": FORMAT_VERSION},
                         separators=(",", ":"), sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"entries":{{{body}}},{header[1:]}\n')  # "entries" sorts before the header's keys
+
+
+@lru_cache(maxsize=None)
+def _state_order() -> list[int]:
+    return sorted(transitions()[0], key=str)  # a full table's keys in save_qtable's order, sorted once
 
 
 class _Memo(dict):

@@ -618,6 +618,10 @@ MISSING = object()
     pytest.param("opponent", {"eps_minimax": "0.5"}, "eps_minimax must be a number", id="eps-string"),
     pytest.param("opponent", {"eps_minimax": True}, "eps_minimax must be a number", id="eps-boolean"),
     pytest.param("opponent", {"eps_minimax": 1.5}, "eps must be in [0, 1]", id="eps-out-of-range"),
+    # an int eps is checked as the header writes it, before it becomes a float; 10**400 has no float
+    pytest.param("opponent", {"eps_minimax": 2}, "eps must be in [0, 1], got 2\n", id="eps-int-out-of-range"),
+    pytest.param("opponent", {"eps_minimax": 10**400}, f"eps must be in [0, 1], got 1{'0' * 400}\n",
+                 id="eps-int-beyond-float"),
     pytest.param("opponent", {"eps": 0.5}, "unknown opponent descriptor", id="opponent-unknown"),
     pytest.param("gamma", MISSING, '"gamma" must be 1.0 (values are undiscounted), got nothing', id="gamma-missing"),
     pytest.param("gamma", None, "got null", id="gamma-null"),

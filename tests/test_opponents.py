@@ -102,6 +102,21 @@ def test_eps_out_of_range_rejected():
         EpsilonMinimaxOpponent(1.5)
 
 
+@pytest.mark.parametrize("eps", [True, False, "0.5", None, [0.5]], ids=["true", "false", "string", "none", "list"])
+def test_an_eps_that_is_not_a_number_is_rejected(eps):
+    # True == 1 in Python, but a bool eps wrote a header load_qtable refuses
+    with pytest.raises(ValueError, match="eps_minimax must be a number"):
+        EpsilonMinimaxOpponent(eps)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_an_int_eps_is_stored_as_its_float(eps):
+    model = EpsilonMinimaxOpponent(eps)
+    assert type(model.eps) is float and model.eps == eps
+    assert model == EpsilonMinimaxOpponent(float(eps))
+    assert model.descriptor == {"eps_minimax": float(eps)}
+
+
 def test_terminal_board_rejected():
     won = board(X, X, X, O, O, E, E, E, E)
     with pytest.raises(TerminalStateError):

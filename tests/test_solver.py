@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from rbtbench.game import cell_mark
+from rbtbench.game import DRAW, O_WINS, cell_mark, enumerate_reachable_states, transitions
 from rbtbench.cli import parse_opponent
-from rbtbench.opponents import EpsilonMinimaxOpponent
+from rbtbench.opponents import EpsilonMinimaxOpponent, reply_distribution
 from rbtbench.solver import (
     CorruptEntryError,
     FormatVersionMismatchError,
@@ -284,6 +284,26 @@ def test_save_writes_what_json_dumps_writes(q_minimax, tmp_path):
     assert text.index('"11"') < text.index('"18912"') < text.index('"5"')
 
 
+def test_save_writes_a_full_table_in_key_order_whatever_its_insertion_order(q_minimax, tmp_path):
+    # a table of every decision state takes the order sorted once; any other key set is sorted per call
+    shuffled = list(q_minimax.entries.items())
+    random.Random(7).shuffle(shuffled)
+    q = QTable(opponent=q_minimax.opponent, entries=dict(shuffled))
+    assert saved_text(q, tmp_path / "shuffled.json") == dumped_text(q_minimax)
+    extra = QTable(opponent=q_minimax.opponent, entries={**q.entries, 1: [0.5] * 9})  # inserted last
+    text = saved_text(extra, tmp_path / "extra.json")
+    assert text == dumped_text(extra)
+    assert text.startswith('{"entries":{"0":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"1":[0.5,')
+
+
+def test_saving_a_full_table_does_not_build_the_reachable_state_set(q_uniform, tmp_path):
+    # the one save of a fresh process (the benchmark's set-up) pays for no frozenset of 5478 boards
+    decision_states.cache_clear()
+    enumerate_reachable_states.cache_clear()
+    save_qtable(q_uniform, tmp_path / "q.json")
+    assert enumerate_reachable_states.cache_info().currsize == 0
+
+
 def test_save_writes_nan_and_infinities_as_json_does(tmp_path):
     q = QTable(opponent=parse_opponent("uniform"), entries={
         0: [math.nan, math.inf, -math.inf, 0.5, math.nan, -math.inf, math.inf, 0.5, -1.0],
@@ -322,6 +342,54 @@ def test_every_solve_grid_table_saves_reloads_and_compares_equal(tmp_path):
         plain = json.loads(path.read_text(encoding="utf-8"))["entries"]
         assert [[v.hex() for v in row] for row in loaded.entries.values()] == \
             [[v.hex() for v in row] for row in plain.values()], spec
+
+
+def test_a_table_solved_against_an_int_eps_saves_reloads_and_compares_equal(tmp_path):
+    q = solve_q(EpsilonMinimaxOpponent(1))
+    path = tmp_path / "q.json"
+    save_qtable(q, path)
+    assert path.read_text(encoding="utf-8").endswith(',"gamma":1.0,"opponent":{"eps_minimax":1.0},"version":1}\n')
+    assert load_qtable(path) == q
+
+
+def reference_solve(model) -> dict[int, list[float]]:
+    """The Q-values as solve_q summed them over reply_distribution before it read the reply patterns."""
+    moves, replies = transitions()
+    entries, values, expectations = {}, {}, {}
+    for index, (ends, after_xs) in moves.items():
+        row = list(ends)
+        for action, after_x in after_xs.items():
+            if after_x not in expectations:
+                total = 0.0
+                for reply, p in reply_distribution(model, after_x):
+                    after_o = replies[after_x][reply]
+                    if after_o == O_WINS:
+                        total -= p
+                    elif after_o != DRAW:
+                        total += p * values[after_o]
+                expectations[after_x] = total
+            row[action] = expectations[after_x]
+        entries[index] = row
+        values[index] = max(row)
+    return entries
+
+
+# the solve-grid tables, the ends of the eps range, eps small enough for the reply rule's ulp correction to
+# move a probability up, and eps between the grid points
+FOLD_MODELS = [parse_opponent(spec) for spec in SOLVE_GRID] + [
+    EpsilonMinimaxOpponent(eps) for eps in (0.0, 1.0, 2e-16, 3e-16, 1e-15, 1e-300, 0.1, 0.3, 0.45, 0.999999)
+]
+
+
+@pytest.mark.parametrize("model", FOLD_MODELS, ids=[repr(m) for m in FOLD_MODELS])
+def test_solve_q_folds_the_patterns_into_the_sum_over_reply_distribution_bit_for_bit(model):
+    # a loss adds p * -1.0 (== -p), a draw p * 0.0 and a cell O never plays 0.0 * value; the sum starts at
+    # +0.0 and so is never -0.0, and adding +0.0 or -0.0 to it changes nothing
+    got = solve_q(model).entries
+    expected = reference_solve(model)
+    assert list(got) == list(expected)
+    assert {i: [v.hex() for v in row] for i, row in got.items()} == \
+        {i: [v.hex() for v in row] for i, row in expected.items()}
 
 
 def test_eps_045_expectations_stay_within_the_unit_interval():

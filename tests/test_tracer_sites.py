@@ -9,9 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from rbtbench import solver
-from rbtbench.game import GameStatus, reachable_boards
-from rbtbench.opponents import UniformRandomOpponent
+from rbtbench import opponents, solver
+from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,21 +29,15 @@ def test_every_call_site_names_a_function_of_the_package():
         assert callable(getattr(importlib.import_module(f"rbtbench.{module}"), attr)), (module, attr)
 
 
-def test_solve_q_calls_reply_distribution_once_per_after_x_board(monkeypatch, q_uniform):
+def test_solve_q_makes_no_reply_distribution_call_and_builds_no_reply_table(monkeypatch, q_uniform):
+    # solver.reply_distribution stays bound for the tracer's solver span, but the solve reads the reply
+    # patterns; only the episode path asks reply_distribution and its per-eps table
     calls = []
-    original = solver.reply_distribution
-
-    def counting(model, index):
-        calls.append(index)
-        return original(model, index)
-
-    monkeypatch.setattr(solver, "reply_distribution", counting)
-    q = solver.solve_q(UniformRandomOpponent())
-    # every in-progress O-to-move board follows some X move from a decision state
-    after_x = {
-        i for i, (st, mover, _) in reachable_boards().items()
-        if st is GameStatus.IN_PROGRESS and mover == 2
-    }
-    assert len(after_x) == 2097
-    assert len(calls) == 2097 and set(calls) == after_x
-    assert q.entries == q_uniform.entries
+    for module in (solver, opponents):
+        monkeypatch.setattr(module, "reply_distribution", lambda *args: calls.append(args))
+    tables = opponents._reply_table.cache_info().currsize
+    solved = [solver.solve_q(model) for model in (UniformRandomOpponent(), MinimaxOpponent(),
+                                                  EpsilonMinimaxOpponent(0.123))]
+    assert calls == []
+    assert opponents._reply_table.cache_info().currsize == tables
+    assert solved[0].entries == q_uniform.entries

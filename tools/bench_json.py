@@ -4,8 +4,8 @@
 
 Run it from anywhere; it runs ``perfbench/run.py`` from the root of the
 checkout it sits in, twice per workload, with ``--trace 0`` and then with
-``--trace 1`` (same seed and run length), and reads each run's
-``.perfbench-work/<workload>/result.json``.  The output holds the run
+``--trace 1`` (same seed, and ``BENCHMARK.json``'s run length), and reads
+each run's ``.perfbench-work/<workload>/result.json``.  The output holds the run
 environment (Python version, platform, machine, CPUs), the command of each
 run and, per workload, ``correct``, ``attempted``, ``failed`` and the
 end-to-end metrics scaled to the reference host speed, with the raw ones
@@ -32,20 +32,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-narrow", "trace-wide", "solve-grid")
-SECONDS = 30  # every BENCH_<n>.json uses the same run length, so files compare
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]  # the same in every BENCH_<n>.json
 
 
 LAYER_SUFFIXES = (".calls", ".self_s", ".us_per_call")
 
 
-def run_workload(workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run; its result.json, or an error if the run failed."""
+def run_workload(workload: str, seed: int, trace: int, checkout: Path = ROOT) -> dict:
+    """One perfbench run in ``checkout``; its result.json, or an error if the run failed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    done = subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"error: {' '.join(command[1:])} exited with {done.returncode}: {done.stderr[-500:]}")
-    result = json.loads((ROOT / ".perfbench-work" / workload / "result.json").read_text())
+        raise SystemExit(f"error: {checkout}: {' '.join(command[1:])} exited with {done.returncode}: "
+                         f"{done.stderr[-500:]}")
+    result = json.loads((checkout / ".perfbench-work" / workload / "result.json").read_text())
     result["command"] = " ".join(["python3", *command[1:]])
     return result
 
