@@ -39,7 +39,7 @@ from .belief import (
     predict,
     update,
 )
-from .game import DRAW, O_WINS, Action, board_marks, transitions
+from .game import O_WINS, Action, board_marks, transitions
 from .metrics import iou
 from .opponents import OpponentModel, reply_distribution
 from .policy import ActionSet, alt_values, argmax_set, mean_value, mixture_values
@@ -172,10 +172,8 @@ def _root(q: QTable) -> Node:
     return node
 
 
-# How an episode ends: by X's action, keyed on its reward in ``ends``, or by
-# O's reply, keyed on its code in the reply table.
+# How X's action ends an episode, keyed on its reward in ``ends``; O's reply ends one only by winning.
 _ENDED_BY_X = {-1.0: Outcome.INVALID_MOVE, 1.0: Outcome.WIN, 0.0: Outcome.DRAW}
-_ENDED_BY_O = {O_WINS: (-1.0, Outcome.LOSS), DRAW: (0.0, Outcome.DRAW)}
 
 
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
@@ -212,7 +210,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             outcome = _ENDED_BY_X[reward]
         else:
             board = replies[board][_sample_reply(q.opponent, board, rng)]
-            reward, outcome = _ENDED_BY_O.get(board, (0.0, None))
+            reward, outcome = (-1.0, Outcome.LOSS) if board == O_WINS else (0.0, None)
 
         # positional, in field order; the cached posterior stays private, so a step gets a copy
         steps.append(StepRecord(t, obs, dict(belief), len(belief), decision.a_mix, decision.a_max,

@@ -16,8 +16,9 @@ source of board facts, and a board outside them is not a legal position.
 
 ``transitions`` turns the records into the move rules, the one place that
 knows them: X marks a cell, then either the episode ends (invalid move, win
-or draw) or O replies and it may end (loss or draw).  The solver, the belief
-filter's prediction, the episode loop and the minimax values all read it.
+or draw) or O replies and it may end in a loss, never a draw: O's reply leaves
+a cell empty.  The solver, the belief filter's prediction, the episode loop
+and the minimax values all read it.
 """
 
 from __future__ import annotations
@@ -100,10 +101,9 @@ def enumerate_reachable_states() -> frozenset[int]:
     return frozenset(reachable_boards())
 
 
-# An O reply's entry in ``transitions()``'s reply table when it ends the game;
-# every other entry is a board index, so never negative.
+# An O reply's entry in ``transitions()``'s reply table when it wins, the only
+# way it ends the game; every other entry is a board index, so never negative.
 O_WINS = -1
-DRAW = -2
 
 
 @lru_cache(maxsize=None)
@@ -117,10 +117,10 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
     for filling the board (69 distinct tuples, shared).  ``after_x`` maps every
     other action, ascending, to its in-progress after-X board.  ``replies``
     maps each such board to a nine-slot tuple holding, for each cell O may
-    reply on, the after-O board, ``O_WINS`` or ``DRAW``.
+    reply on, the after-O board or ``O_WINS``.
     """
     boards = reachable_boards()
-    in_progress, x_wins, o_wins, _ = GameStatus  # locals, as in the pass
+    in_progress, x_wins, _, _ = GameStatus  # locals, as in the pass
     states = [i for i, (st, mover, _) in boards.items() if mover == 1 and st is in_progress]
     moves, replies, shared = {}, {}, {}
     for index in sorted(states, key=lambda i: (len(boards[i][2]), i)):
@@ -134,11 +134,11 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
                 continue
             after_x[action] = board
             if board not in replies:
-                succ = [DRAW] * 9
+                succ = [O_WINS] * 9  # the occupied cells' slots are never read
                 for reply in reply_cells:
                     after_o = board + 2 * POW3[reply]  # O mark = digit 2
                     st = boards[after_o][0]
-                    succ[reply] = after_o if st is in_progress else O_WINS if st is o_wins else DRAW
+                    succ[reply] = after_o if st is in_progress else O_WINS
                 replies[board] = tuple(succ)
         moves[index] = (shared.setdefault(tuple(ends), tuple(ends)), after_x)
     return moves, replies

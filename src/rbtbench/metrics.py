@@ -59,20 +59,12 @@ def aggregate_by_timestep(results: Iterable) -> list[TimestepAggregate]:
 
     Episodes that ended before t simply contribute nothing at t.
     """
-    iou_sums: dict[int, float] = {}
-    margin_sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
+    sums: dict[int, list] = {}  # t -> [IoU sum, margin sum, count], from 0.0 in episode order (3.12's sum() compensates)
     for result in results:
         for step in result.steps:
-            iou_sums[step.t] = iou_sums.get(step.t, 0.0) + step.iou
-            margin_sums[step.t] = margin_sums.get(step.t, 0.0) + step.margin
-            counts[step.t] = counts.get(step.t, 0) + 1
-    return [
-        TimestepAggregate(
-            t=t,
-            mean_iou=iou_sums[t] / counts[t],
-            mean_margin=margin_sums[t] / counts[t],
-            samples=counts[t],
-        )
-        for t in sorted(counts)
-    ]
+            acc = sums.setdefault(step.t, [0.0, 0.0, 0])
+            acc[0] += step.iou
+            acc[1] += step.margin
+            acc[2] += 1
+    return [TimestepAggregate(t, iou_sum / n, margin_sum / n, n)
+            for t, (iou_sum, margin_sum, n) in sorted(sums.items())]

@@ -12,21 +12,21 @@ models are its eps:
 
 Models are frozen values, shared across episode workers.  The rule sees only
 which of a board's empty cells are best replies: 61 patterns among the 2097
-boards O can move on, 4 for eps 1 (only their number).  So it runs once per
-pattern: ``solve_q`` folds each board's cells with its pattern's probabilities,
-and ``reply_distribution``, the episodes' entry point, reads a table per eps
-with one object per distinct reply tuple (at most 1014) and (cell, p) pair.
+boards O can move on, 4 for eps 1 (only their number).  ``_patterns`` numbers
+them in one walk of those boards, so the rule runs once per pattern:
+``solve_q`` folds each board's cells with its pattern's probabilities, and
+``reply_distribution``, the episodes' entry point, reads a table per eps with
+one object per distinct reply tuple (at most 1014) and (cell, p) pair.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import nextafter, ulp
 from typing import Union
 
-from .game import DRAW, O_WINS, reachable_boards, transitions
+from .game import O_WINS, reachable_boards, transitions
 
 
 class TerminalStateError(ValueError):
@@ -41,21 +41,13 @@ def game_value() -> dict[int, int]:
     """
     moves, replies = transitions()
     boards = reachable_boards()
-    values = {O_WINS: -1, DRAW: 0}
+    values = {O_WINS: -1}
     for index, (ends, after_x) in moves.items():  # fewest empty cells first: successors are known
         for board in after_x.values():
             if board not in values:
                 values[board] = min(values[replies[board][c]] for c in boards[board][2])
         values[index] = int(max(*ends, *(values[board] for board in after_x.values())))
     return values
-
-
-@lru_cache(maxsize=None)
-def _minimax_replies(index: int) -> tuple[int, ...]:
-    """O's game-theoretic best replies on an after-X board, in cell order."""
-    values = game_value()
-    succ = transitions()[1][index]
-    return tuple(c for c in reachable_boards()[index][2] if values[succ[c]] == values[index])
 
 
 def _replies(eps: float, best: tuple[bool, ...]) -> list[float]:
@@ -114,47 +106,40 @@ OpponentModel = Union[UniformRandomOpponent, MinimaxOpponent, EpsilonMinimaxOppo
 
 
 @lru_cache(maxsize=None)
-def _situations(uniform: bool) -> dict[tuple[bool, ...], dict[tuple[int, ...], list[int]]]:
-    """The after-X boards grouped by what their replies depend on: which of their empty cells are best
-    replies (none, if uniform), then the empty cells themselves."""
-    boards, groups = reachable_boards(), defaultdict(lambda: defaultdict(list))
-    for i in transitions()[1]:
+def _patterns(uniform: bool) -> tuple[dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]], list[tuple[bool, ...]]]:
+    """``(index, patterns)``: after-X board -> (k, cells, succ), its pattern's number, empty cells and reply row;
+    pattern k says which of a board's cells are best replies (none, if uniform), numbered by first appearance."""
+    boards, values = reachable_boards(), None if uniform else game_value()
+    numbers, index = {}, {}
+    for i, succ in transitions()[1].items():
         cells = boards[i][2]
-        best = (False,) * len(cells) if uniform else tuple(map(_minimax_replies(i).__contains__, cells))
-        groups[best][cells].append(i)
-    return groups
-
-
-@lru_cache(maxsize=None)
-def _situation_index(uniform: bool) -> dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """After-X board -> (k, cells, succ): the k-th pattern of ``_situations``, its empty cells and its reply row."""
-    replies = transitions()[1]
-    return {i: (k, cells, replies[i]) for k, by_cells in enumerate(_situations(uniform).values())
-            for cells, group in by_cells.items() for i in group}
+        best = (False,) * len(cells) if uniform else tuple(values[succ[c]] == values[i] for c in cells)
+        index[i] = (numbers.setdefault(best, len(numbers)), cells, succ)
+    return index, list(numbers)
 
 
 def _pattern_replies(eps: float) -> tuple[dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]], list[list[float]]]:
-    """``solve_q``'s view of the rule: ``_situation_index`` for this eps, and at k the k-th pattern's ``_replies``."""
-    return _situation_index(eps == 1.0), [_replies(eps, best) for best in _situations(eps == 1.0)]
+    """``solve_q``'s view of the rule: ``_patterns``'s index for this eps, and at k the k-th pattern's ``_replies``."""
+    index, patterns = _patterns(eps == 1.0)
+    return index, [_replies(eps, best) for best in patterns]
 
 
 @lru_cache(maxsize=None)
 def _reply_table(eps: float) -> dict[int, tuple[tuple[int, float], ...]]:
     """Board -> (cell, probability) pairs under the reply rule with this eps, for every board O can move on:
-    the after-X boards of the rules; episodes read it, the solver does not.
+    the after-X boards of the rules, in their order; episodes read it, the solver does not.
 
-    ``_replies`` runs once per pattern of best replies (61, or 4 for eps 1) and each situation's cells are
-    zipped in; equal reply tuples, and equal pairs within them, are one object.
+    ``_replies`` runs once per pattern of best replies (61, or 4 for eps 1) and each tuple once per pattern and
+    cells; equal reply tuples, and equal pairs within them, are one object.
     """
-    shared = {}
-    table = dict.fromkeys(transitions()[1])  # the boards in the rules' order
-    for best, situations in _situations(eps == 1.0).items():
-        probs = _replies(eps, best)
-        for cells, group in situations.items():
-            replies = tuple([shared.setdefault(pair, pair) for pair in zip(cells, probs) if pair[1] > 0.0])
-            replies = shared.setdefault(replies, replies)
-            for i in group:
-                table[i] = replies
+    index, probs = _pattern_replies(eps)
+    shared, made, table = {}, {}, {}
+    for i, (k, cells, _) in index.items():
+        replies = made.get((k, cells))
+        if replies is None:
+            replies = tuple([shared.setdefault(pair, pair) for pair in zip(cells, probs[k]) if pair[1] > 0.0])
+            replies = made[k, cells] = shared.setdefault(replies, replies)
+        table[i] = replies
     return table
 
 

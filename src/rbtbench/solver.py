@@ -5,7 +5,7 @@ Q(s, a) for all nine actions against a fixed opponent model:
 
 * occupied cell: -1 (the environment ends the episode with reward -1),
 * move that wins or fills the board: +1 / 0,
-* otherwise: expectation over opponent replies of -1 (loss), 0 (draw), or the
+* otherwise: expectation over opponent replies of -1 (loss) or the
   max-action value of the next X-to-move board.
 
 Rewards are undiscounted and purely terminal, so values always land in [-1, 1].
@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 from math import isnan
 
-from .game import DRAW, O_WINS, enumerate_reachable_states, transitions
+from .game import O_WINS, enumerate_reachable_states, transitions
 from .opponents import OpponentModel, _pattern_replies, from_descriptor
 from .opponents import reply_distribution  # not called here, but perfbench/tracer.py's CALL_SITES patches it
 
@@ -67,19 +67,19 @@ def solve_q(opponent: OpponentModel) -> QTable:
     Walks ``game.transitions()`` bottom-up: a row starts from the state's
     episode-ending rewards, and each after-X expectation is computed once,
     from the solved values of its after-O boards as one fold, ``total += p *
-    value[after-O board]`` (loss -1.0, draw 0.0), bit for bit the sum over
+    value[after-O board]`` (a loss -1.0), bit for bit the sum over
     ``reply_distribution``; reply probabilities sum to at most 1, so it stays in [-1, 1].
     """
-    situation, probs = _pattern_replies(opponent.eps)
+    by_board, probs = _pattern_replies(opponent.eps)
     entries: dict[int, list[float]] = {}
-    values = {O_WINS: -1.0, DRAW: 0.0}  # and decision state -> max-action value
+    values = {O_WINS: -1.0}  # and decision state -> max-action value
     expectations: dict[int, float] = {}  # after-X board -> expected value
     for index, (ends, after_xs) in transitions()[0].items():
         row = list(ends)
         for action, after_x in after_xs.items():
             total = expectations.get(after_x)
             if total is None:
-                k, cells, succ = situation[after_x]
+                k, cells, succ = by_board[after_x]
                 total = 0.0
                 for cell, p in zip(cells, probs[k]):
                     total += p * values[succ[cell]]

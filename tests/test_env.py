@@ -20,7 +20,7 @@ from rbtbench.env import (
     run_episodes,
     sample_window,
 )
-from rbtbench.game import cell_mark
+from rbtbench.game import cell_mark, transitions
 from rbtbench.metrics import iou
 from rbtbench import opponents
 from rbtbench.opponents import (
@@ -395,12 +395,13 @@ def test_a_warm_graph_runs_no_filter(monkeypatch, q_uniform):
 
 
 def test_a_tables_episodes_play_the_tables_model(q_minimax):
+    values, replies = opponents.game_value(), transitions()[1]
     checked = 0
     for shape in (WindowShape(1, 1), WindowShape(2, 2)):
         for result in run_episodes(EpisodeConfig(shape=shape, seed=1300), q_minimax, 200):
             for step, board, after_o in zip(result.steps, result.true_states, result.true_states[1:]):
                 after_x = board + 3 ** step.chosen_action  # X's mark is digit 1
                 [reply] = [c for c in range(9) if cell_mark(after_o, c) != cell_mark(after_x, c)]
-                assert reply in opponents._minimax_replies(after_x)
+                assert replies[after_x][reply] == after_o and values[after_o] == values[after_x]  # a best reply
                 checked += 1
     assert checked > 100

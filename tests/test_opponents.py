@@ -10,9 +10,8 @@ from rbtbench.opponents import (
     TerminalStateError,
     UniformRandomOpponent,
     from_descriptor,
-    _minimax_replies,
+    _patterns,
     _reply_table,
-    _situations,
     game_value,
     reply_distribution,
 )
@@ -150,21 +149,18 @@ def test_minimax_agrees_with_oracle_reply_sets(model, kind):
 def test_uniform_reply_table_does_not_compute_game_values():
     # a uniform-only run must not pay for the minimax values of the whole game
     game_value.cache_clear()
-    _minimax_replies.cache_clear()
+    _patterns.cache_clear()
     _reply_table.__wrapped__(UniformRandomOpponent().eps)
     assert game_value.cache_info().currsize == 0
-    assert _minimax_replies.cache_info().currsize == 0
 
 
 def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform_table():
     # eps == 1 groups boards by their empty cells alone for the eps class too, not only for UniformRandomOpponent
     uniform = _reply_table(UniformRandomOpponent().eps)
     game_value.cache_clear()
-    _minimax_replies.cache_clear()
-    _situations.cache_clear()
+    _patterns.cache_clear()
     table = _reply_table.__wrapped__(EpsilonMinimaxOpponent(1.0).eps)
     assert game_value.cache_info().currsize == 0
-    assert _minimax_replies.cache_info().currsize == 0
 
     def hexed(t):
         return [(i, [(c, p.hex()) for c, p in replies]) for i, replies in t.items()]
@@ -205,6 +201,16 @@ def test_the_reply_rule_runs_once_per_pattern_of_best_replies(eps, monkeypatch):
     table = _reply_table.__wrapped__(eps)
     assert len(calls) == len(set(calls)) <= (4 if eps == 1.0 else 61)
     assert table == _reply_table(eps)
+
+
+def test_the_minimax_pattern_index_reads_the_game_values_once(monkeypatch):
+    # through the module global, which a traced run wraps
+    calls = []
+    monkeypatch.setattr(opponents, "game_value", lambda: calls.append(1) or game_value())
+    index, patterns = _patterns.__wrapped__(False)
+    assert len(calls) == 1
+    assert len(index) == 2097 and len(patterns) == 61
+    assert (index, patterns) == _patterns(False)
 
 
 def test_game_value_agrees_with_the_oracle_on_every_decision_state_and_after_x_board():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rbtbench.game import DRAW, O_WINS, cell_mark, enumerate_reachable_states, transitions
+from rbtbench.game import O_WINS, cell_mark, enumerate_reachable_states, transitions
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent, reply_distribution
 from rbtbench.solver import (
@@ -365,7 +365,7 @@ def reference_solve(model) -> dict[int, list[float]]:
                     after_o = replies[after_x][reply]
                     if after_o == O_WINS:
                         total -= p
-                    elif after_o != DRAW:
+                    else:
                         total += p * values[after_o]
                 expectations[after_x] = total
             row[action] = expectations[after_x]
@@ -383,7 +383,7 @@ FOLD_MODELS = [parse_opponent(spec) for spec in SOLVE_GRID] + [
 
 @pytest.mark.parametrize("model", FOLD_MODELS, ids=[repr(m) for m in FOLD_MODELS])
 def test_solve_q_folds_the_patterns_into_the_sum_over_reply_distribution_bit_for_bit(model):
-    # a loss adds p * -1.0 (== -p), a draw p * 0.0 and a cell O never plays 0.0 * value; the sum starts at
+    # a loss adds p * -1.0 (== -p) and a cell O never plays 0.0 * value; the sum starts at
     # +0.0 and so is never -0.0, and adding +0.0 or -0.0 to it changes nothing
     got = solve_q(model).entries
     expected = reference_solve(model)
