@@ -37,7 +37,6 @@ from .env import (
 from .game import (
     Action,
     GameStatus,
-    enumerate_reachable_states,
 )
 from .metrics import (
     InsufficientSamplesError,

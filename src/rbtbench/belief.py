@@ -46,6 +46,8 @@ class WindowShape:
     width: int
 
     def __post_init__(self):
+        if type(self.height) is not int or type(self.width) is not int:  # no bools, which label as True
+            raise ValueError(f"window height and width must be ints, got {self.height!r}x{self.width!r}")
         if not (1 <= self.height <= 3 and 1 <= self.width <= 3):
             raise ValueError(f"window shape must be within 1..3, got {self.height}x{self.width}")
 
@@ -83,6 +85,8 @@ class WindowPlacement:
     shape: WindowShape
 
     def __post_init__(self):
+        if type(self.top) is not int or type(self.left) is not int:
+            raise ValueError(f"window top and left must be ints, got ({self.top!r}, {self.left!r})")
         if not (0 <= self.top <= 3 - self.shape.height and 0 <= self.left <= 3 - self.shape.width):
             raise ValueError(f"window {self.shape.label} does not fit at ({self.top}, {self.left})")
         rows, cols = range(self.top, self.top + self.shape.height), range(self.left, self.left + self.shape.width)

@@ -143,7 +143,7 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
 
 # --- SVG chart --------------------------------------------------------------
 
-BAR_COLORS = {MIXTURE: "#4878a8", MAXBELIEF: "#e1812c", "random": "#6aa84f"}
+BAR_COLORS = {MIXTURE: "#4878a8", MAXBELIEF: "#e1812c"}
 
 
 def render_returns_svg(rows: Sequence[SweepRow]) -> str:
@@ -184,16 +184,13 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
     for wi, window in enumerate(windows):
         group_x = left + wi * group_w
         for pi, pol in enumerate(policies):
-            row = by_cell.get((window, pol))
-            if row is None:
-                continue
+            row = by_cell[window, pol]  # sweep runs both policies on every window
             x = group_x + (pi + 0.5) * bar_w
             y0, y1 = y(0.0), y(row.mean_return)
             bar_top, bar_h = min(y0, y1), abs(y0 - y1)
-            color = BAR_COLORS.get(pol, "#999999")
             out.append(
                 f'<rect x="{x:.2f}" y="{bar_top:.2f}" width="{bar_w:.2f}" height="{bar_h:.2f}" '
-                f'fill="{color}"><title>{window} {pol}: {_fmt(row.mean_return)} '
+                f'fill="{BAR_COLORS[pol]}"><title>{window} {pol}: {_fmt(row.mean_return)} '
                 f'&#177; {_fmt(row.ci95)}</title></rect>'
             )
             cx = x + bar_w / 2
@@ -216,7 +213,7 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
         ly = top + 8 + pi * 18
         out.append(
             f'<rect x="{lx}" y="{ly}" width="12" height="12" '
-            f'fill="{BAR_COLORS.get(pol, "#999999")}"/>'
+            f'fill="{BAR_COLORS[pol]}"/>'
         )
         out.append(
             f'<text x="{lx + 18}" y="{ly + 10}" font-family="sans-serif" font-size="12">{pol}</text>'
@@ -441,34 +438,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reconnaissance Blind TicTacToe benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = argparse.ArgumentParser(add_help=False)  # the flags of every command that plays episodes
+    table.add_argument("--q", default=None, help="Q-table path (default: $RBT_QTABLE)")
+    table.add_argument("--seed", type=int, default=0)
+    batch = argparse.ArgumentParser(add_help=False)  # and of those that play a batch
+    batch.add_argument("--episodes", type=int, default=1000)
 
     p = sub.add_parser("solve", help="solve the fully observed game and cache the Q-table")
     p.add_argument("--opponent", default="uniform", help="uniform | minimax | eps:<p>")
     p.add_argument("--out", required=True, help="output Q-table JSON path")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("run", help="run one (window, policy) benchmark cell")
-    p.add_argument("--q", default=None, help="Q-table path (default: $RBT_QTABLE)")
+    p = sub.add_parser("run", parents=[table, batch], help="run one (window, policy) benchmark cell")
     p.add_argument("--window", required=True, help="window size HxW, e.g. 2x1")
     p.add_argument("--policy", choices=POLICIES, default=MIXTURE)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="write per-step JSONL trace here")
     p.add_argument("--out", default=None, help="append the summary row to this CSV")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="run both policies across window sizes")
-    p.add_argument("--q", default=None, help="Q-table path (default: $RBT_QTABLE)")
+    p = sub.add_parser("sweep", parents=[table, batch], help="run both policies across window sizes")
     p.add_argument("--windows", default=DEFAULT_WINDOWS)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("replay", help="replay one episode with belief rendering")
-    p.add_argument("--q", default=None, help="Q-table path (default: $RBT_QTABLE)")
+    p = sub.add_parser("replay", parents=[table], help="replay one episode with belief rendering")
     p.add_argument("--window", required=True, help="window size HxW")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true", help="mark the true board with * in the belief")
     p.set_defaults(func=cmd_replay)
     return parser

@@ -67,6 +67,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if type(self.seed) is not int:  # no bools: Random(True) plays the episodes of seed 1
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:  # Random(-s) seeds as Random(s) does, so episodes would repeat
             raise ValueError(f"seed must be at least 0, got {self.seed}")
 
@@ -98,8 +100,7 @@ class EpisodeResult:
 
 def sample_window(shape: WindowShape, rng: Random) -> WindowPlacement:
     """Placement drawn uniformly from all positions where the window fits."""
-    placements = shape.placements()
-    return placements[rng.randrange(len(placements))]
+    return rng.choice(shape.placements())
 
 
 def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:

@@ -54,13 +54,6 @@ class QTable:
         return max(self.entries[state_index])
 
 
-@lru_cache(maxsize=None)
-def decision_states() -> frozenset[int]:
-    """Reachable, in-progress boards with X to move: exactly the keys of a Q-table."""
-    enumerate_reachable_states()  # called first, so the one pass in game runs inside it
-    return frozenset(transitions()[0])
-
-
 def solve_q(opponent: OpponentModel) -> QTable:
     """Solve Q(s, a) exactly for every X-to-move, non-terminal reachable board.
 
@@ -101,18 +94,13 @@ def save_qtable(q: QTable, path) -> None:
     """
     text = _Memo(lambda value: json.dumps(float(value)), {0.0: "0.0"}).__getitem__
     entries = q.entries
-    order = _state_order() if entries.keys() == transitions()[0].keys() else sorted(entries, key=str)
+    order = _entry_keys().values() if entries.keys() == transitions()[0].keys() else sorted(entries, key=str)
     body = ",".join([f'"{i}":[{",".join(map(text, entries[i]))}]' for i in order])
     # values are undiscounted; load_qtable accepts no other gamma
     header = json.dumps({"gamma": 1.0, "opponent": q.opponent.descriptor, "version": FORMAT_VERSION},
                         separators=(",", ":"), sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"entries":{{{body}}},{header[1:]}\n')  # "entries" sorts before the header's keys
-
-
-@lru_cache(maxsize=None)
-def _state_order() -> list[int]:
-    return sorted(transitions()[0], key=str)  # a full table's keys in save_qtable's order, sorted once
 
 
 class _Memo(dict):
@@ -163,6 +151,7 @@ def load_qtable(path) -> QTable:
     if not isinstance(rows, dict):
         got = _json_type(rows) if "entries" in payload else "nothing"
         raise CorruptEntryError(f'"entries" must be a JSON object, got {got}')
+    enumerate_reachable_states()  # only so that perfbench/tracer.py's span of it holds a fresh process's game pass
     states = _entry_keys()
     if rows.keys() != states.keys():
         raise _key_error(rows.keys())
@@ -182,8 +171,8 @@ def load_qtable(path) -> QTable:
 
 @lru_cache(maxsize=None)
 def _entry_keys() -> dict[str, int]:
-    """Entry key -> decision state, for every state, as ``save_qtable`` writes the keys."""
-    return {str(i): i for i in decision_states()}
+    """Entry key -> decision state, for every reachable X-to-move board, in ``save_qtable``'s key order."""
+    return {str(i): i for i in sorted(transitions()[0], key=str)}
 
 
 def _key_error(keys) -> CorruptEntryError:
@@ -192,12 +181,10 @@ def _key_error(keys) -> CorruptEntryError:
         # int() also reads a sign, spaces, underscores and leading zeros
         if key not in states and not (key.isdecimal() and str(int(key)) == key):
             return CorruptEntryError(f"entry key {json.dumps(key)} is not a board index as save_qtable writes it")
-    found = set(map(int, keys))
-    expected = decision_states()
-    missing = sorted(expected - found)
-    extra = sorted(found - expected)
+    missing = sorted(states[key] for key in states.keys() - keys)
+    extra = sorted(map(int, keys - states.keys()))
     return CorruptEntryError(
-        f"Q-table entries must cover exactly the {len(expected)} reachable X-to-move states: "
+        f"Q-table entries must cover exactly the {len(states)} reachable X-to-move states: "
         f"missing {_listed(missing)}, extra {_listed(extra)}"
     )
 

@@ -46,10 +46,18 @@ def assert_close_beliefs(got, want, tol=1e-9):
 def test_window_shape_validation():
     with pytest.raises(ValueError):
         WindowShape(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^window shape must be within 1\.\.3, got 2x4$"):
         WindowShape(2, 4)
     with pytest.raises(ValueError):
         WindowShape.from_label("2by2")
+
+
+@pytest.mark.parametrize("height, width, shown", [
+    (2.0, 1, "2.0x1"), (True, 2, "Truex2"), (2, False, "2xFalse"), ("2", 1, "'2'x1"), (None, 3, "Nonex3"),
+])
+def test_a_window_shape_of_non_ints_fails_in_one_line(height, width, shown):
+    with pytest.raises(ValueError, match=rf"^window height and width must be ints, got {shown}$"):
+        WindowShape(height, width)
 
 
 def test_placement_counts():
@@ -60,6 +68,13 @@ def test_placement_counts():
 def test_placement_must_fit():
     with pytest.raises(ValueError):
         WindowPlacement(top=2, left=0, shape=WindowShape(2, 2))
+
+
+@pytest.mark.parametrize("top, left, shown", [(0.0, 0, r"\(0\.0, 0\)"), (0, True, r"\(0, True\)"),
+                                             ("1", 0, r"\('1', 0\)")])
+def test_a_placement_at_non_ints_fails_in_one_line(top, left, shown):
+    with pytest.raises(ValueError, match=rf"^window top and left must be ints, got {shown}$"):
+        WindowPlacement(top=top, left=left, shape=WindowShape(2, 2))
 
 
 def test_window_cells_row_major():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
@@ -118,6 +119,13 @@ def test_a_negative_seed_is_rejected():
         with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed}$"):
             EpisodeConfig(WindowShape(1, 1), MIXTURE, seed)
     assert EpisodeConfig(WindowShape(1, 1), MIXTURE, 0).seed == 0
+
+
+@pytest.mark.parametrize("seed", ["3", 1.5, 2.0, True, False, None])
+def test_a_seed_that_is_not_an_int_fails_in_one_line(seed):
+    # Random(True) and Random(2.0) would replay the episodes of seeds 1 and 2; "3" failed inside `<`
+    with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+        EpisodeConfig(WindowShape(1, 1), MIXTURE, seed)
 
 
 def test_invalid_policy_rejected():

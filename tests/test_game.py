@@ -12,7 +12,7 @@ from rbtbench.game import (
     transitions,
 )
 from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent, _reply_table
-from rbtbench.solver import decision_states
+from rbtbench.solver import _entry_keys
 
 import oracles
 
@@ -186,8 +186,9 @@ def test_transitions_have_the_shape_solve_q_walks():
             assert succ[reply] == (O_WINS if oracles.winner(after_o) == O else oracles.board_index(after_o))
 
 
-def test_decision_states_are_the_keys_of_moves():
-    assert decision_states() == frozenset(transitions()[0])
+def test_entry_keys_are_the_keys_of_moves():
+    assert frozenset(_entry_keys().values()) == frozenset(transitions()[0])
+    assert list(_entry_keys()) == sorted(map(str, transitions()[0]))  # as save_qtable orders them
 
 
 @pytest.mark.parametrize("model", [UniformRandomOpponent(), MinimaxOpponent(), EpsilonMinimaxOpponent(0.3)])

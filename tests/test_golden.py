@@ -51,6 +51,17 @@ SWEEP = {
     "returns.svg": "88281f1a79ff0781823671a254c7b6df4f039da18795065eeb7bdbb5b9094e88",
 }
 TRACE = "2c8d710e04e259f60f1698e53fa18317598b58feae6c21a3be96e8ceeb4d00d5"
+# run --window 2x1 --episodes 200 --seed 42 --trace on the uniform table, per --policy
+RUN_TRACES = {
+    "maxbelief": "d3bcf19eee3d2593653dfa421381b0d212db74a0e7f7839e1d6162f955776dcf",
+    "random": "6b6b565f782c26a9692466bdd6749d4d1a092de60bf1a8866ba3ff3e9500e2f6",
+}
+# sweep --windows 1x1,2x2 --episodes 200 --seed 42 on the minimax table
+MINIMAX_SWEEP = {
+    "returns.csv": "5279e1d7ce1cb6a42e93edb5e844e52990920e63ff24fc9ed227f173236e4337",
+    "timestep_metrics.csv": "4a58a6ac79d42dffa4aede4d3d87f08d696561dc465bacd7c906a78cc704f0f9",
+    "returns.svg": "7bfc4cc18d58ddec1faeff889f65fb0ad8cddd414888fb5ec8802bedb5fd144c",
+}
 # replay stdout on the uniform table, recorded before board glyphs were
 # read from cell digits instead of mark objects
 REPLAY = {
@@ -93,6 +104,24 @@ def test_run_trace_matches_pinned_digest(q_uniform_path, tmp_path, capsys):
                  "--seed", "42", "--trace", str(trace)]) == 0
     capsys.readouterr()
     assert sha256(trace) == TRACE
+
+
+def test_minimax_sweep_outputs_match_pinned_digests(q_minimax, tmp_path, capsys):
+    q_path, out = tmp_path / "minimax.json", tmp_path / "sweep"
+    save_qtable(q_minimax, q_path)
+    assert main(["sweep", "--q", str(q_path), "--windows", "1x1,2x2", "--episodes", "200",
+                 "--seed", "42", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert {name: sha256(out / name) for name in MINIMAX_SWEEP} == MINIMAX_SWEEP
+
+
+@pytest.mark.parametrize("policy", RUN_TRACES)
+def test_baseline_run_traces_match_pinned_digests(policy, q_uniform_path, tmp_path, capsys):
+    trace = tmp_path / "steps.jsonl"
+    assert main(["run", "--q", q_uniform_path, "--window", "2x1", "--episodes", "200", "--seed", "42",
+                 "--policy", policy, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert sha256(trace) == RUN_TRACES[policy]
 
 
 @pytest.mark.parametrize("flags", REPLAY)

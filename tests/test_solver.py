@@ -11,7 +11,7 @@ from rbtbench.solver import (
     CorruptEntryError,
     FormatVersionMismatchError,
     QTable,
-    decision_states,
+    _entry_keys,
     load_qtable,
     save_qtable,
     solve_q,
@@ -298,7 +298,7 @@ def test_save_writes_a_full_table_in_key_order_whatever_its_insertion_order(q_mi
 
 def test_saving_a_full_table_does_not_build_the_reachable_state_set(q_uniform, tmp_path):
     # the one save of a fresh process (the benchmark's set-up) pays for no frozenset of 5478 boards
-    decision_states.cache_clear()
+    _entry_keys.cache_clear()
     enumerate_reachable_states.cache_clear()
     save_qtable(q_uniform, tmp_path / "q.json")
     assert enumerate_reachable_states.cache_info().currsize == 0
@@ -398,9 +398,9 @@ def test_eps_045_expectations_stay_within_the_unit_interval():
     assert q.entries[7][3] == q.entries[7][4] == q.entries[7][6] == 1.0
 
 
-def test_decision_states_are_the_2423_x_to_move_boards():
-    assert sorted(decision_states()) == x_to_move_states()
-    assert len(decision_states()) == 2423
+def test_entry_keys_are_the_2423_x_to_move_boards():
+    assert sorted(_entry_keys().values()) == x_to_move_states()
+    assert len(_entry_keys()) == 2423
 
 
 def write_entries(path, q, drop=(), add=()):

@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from rbtbench import opponents, solver
+import pytest
+
+from rbtbench import game, opponents, solver
 from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -41,3 +43,29 @@ def test_solve_q_makes_no_reply_distribution_call_and_builds_no_reply_table(monk
     assert calls == []
     assert opponents._reply_table.cache_info().currsize == tables
     assert solved[0].entries == q_uniform.entries
+
+
+def test_a_fresh_load_runs_the_one_game_pass_inside_the_traced_call(monkeypatch, q_uniform_path):
+    # perfbench's game.enumerate_reachable_states span wraps solver's name: the pass must run inside it
+    for cached in (game._game, game.enumerate_reachable_states, game.transitions, solver._entry_keys):
+        cached.cache_clear()
+    passes = []
+
+    def traced():
+        before = game._game.cache_info().currsize
+        game.enumerate_reachable_states()
+        passes.append((before, game._game.cache_info().currsize))
+
+    monkeypatch.setattr(solver, "enumerate_reachable_states", traced)
+    solver.load_qtable(q_uniform_path)
+    assert passes == [(0, 1)]
+
+
+def test_a_bad_header_fails_before_the_traced_call(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(solver, "enumerate_reachable_states", lambda: calls.append(1))
+    path = tmp_path / "q.json"
+    path.write_text('{"version": 2}')
+    with pytest.raises(solver.FormatVersionMismatchError):
+        solver.load_qtable(path)
+    assert calls == []
