@@ -10,7 +10,6 @@ a baseline that only acts on the most probable states.
 __version__ = "0.1.0"
 
 from .belief import (
-    Belief,
     EmptySupportError,
     Observation,
     WindowPlacement,
@@ -23,43 +22,27 @@ from .belief import (
 from .env import (
     MAXBELIEF,
     MIXTURE,
-    POLICIES,
     RANDOM,
     EpisodeConfig,
     EpisodeResult,
     Outcome,
     StepRecord,
     decide,
-    run_episode,
     run_episodes,
-    sample_window,
-)
-from .game import (
-    Action,
-    GameStatus,
 )
 from .metrics import (
     InsufficientSamplesError,
-    SweepRow,
     TimestepAggregate,
     aggregate_by_timestep,
-    iou,
     mean_ci95,
 )
 from .opponents import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
-    OpponentModel,
-    TerminalStateError,
     UniformRandomOpponent,
 )
 from .policy import (
-    ActionSet,
-    ActionValues,
     MissingQEntryError,
-    alt_values,
-    argmax_set,
-    max_belief_states,
     mixture_values,
 )
 from .solver import (

@@ -58,7 +58,7 @@ class WindowShape:
     @classmethod
     def from_label(cls, label: str) -> "WindowShape":
         try:
-            h, w = label.lower().split("x")
+            h, w = str.lower(label).split("x")  # a label that is not a str raises TypeError
             return cls(height=int(h), width=int(w))
         except (ValueError, TypeError):
             raise ValueError(f"expected HxW with H,W in 1..3, got {label!r}") from None

@@ -26,7 +26,7 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from . import __version__
-from .belief import Observation, WindowShape
+from .belief import WindowShape
 from .env import (
     MAXBELIEF,
     MIXTURE,
@@ -224,19 +224,10 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
 
 # --- replay rendering -------------------------------------------------------
 
-def board_rows(index: int) -> list[str]:
-    return [
-        "".join(MARK_CHARS[cell_mark(index, r * 3 + c)] for c in range(3))
-        for r in range(3)
-    ]
-
-
-def observation_rows(obs: Observation) -> list[str]:
-    """3x3 grid of the observation; cells outside the window are blanked."""
-    grid = [[" "] * 3 for _ in range(3)]
-    for cell, mark in zip(obs.placement.cells(), obs.contents):
-        grid[cell // 3][cell % 3] = MARK_CHARS[mark]
-    return ["".join(r) for r in grid]
+def grid_rows(marks: dict[int, int]) -> list[str]:
+    """3x3 grid of the cell digits in `marks`; a cell missing from it is blank."""
+    glyphs = [MARK_CHARS[marks[c]] if c in marks else " " for c in range(9)]
+    return ["".join(glyphs[r:r + 3]) for r in (0, 3, 6)]
 
 
 def _columns(blocks: list[list[str]]) -> list[str]:
@@ -256,14 +247,14 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
         f"t={step.t}  window {pl.shape.label} at (row {pl.top}, col {pl.left})",
         "  observed:",
     ]
-    lines.extend("    |" + row + "|" for row in observation_rows(step.observation))
+    lines.extend("    |" + row + "|" for row in grid_rows(dict(zip(pl.cells(), step.observation.contents))))
     n = step.belief_support_size
     lines.append(f"  belief ({n} state{'s' if n != 1 else ''}):")
     ranked = sorted(step.belief.items(), key=lambda kv: (-kv[1], kv[0]))
     blocks = []
     for state, p in ranked:
         tag = "*" if state == true_state else ""
-        blocks.append(board_rows(state) + [f"p={p:.4f}{tag}"])
+        blocks.append(grid_rows({c: cell_mark(state, c) for c in range(9)}) + [f"p={p:.4f}{tag}"])
     lines.extend(_columns(blocks))
     lines.append("  Q~ per action: " + " ".join(f"{a}:{v:+.4f}" for a, v in enumerate(values)))
     lines.append(

@@ -65,6 +65,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.shape, WindowShape):  # else the first episode fails on .placements()
+            raise ValueError(f"shape must be a WindowShape, got {self.shape!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if type(self.seed) is not int:  # no bools: Random(True) plays the episodes of seed 1

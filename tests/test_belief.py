@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import pytest
@@ -58,6 +59,13 @@ def test_window_shape_validation():
 def test_a_window_shape_of_non_ints_fails_in_one_line(height, width, shown):
     with pytest.raises(ValueError, match=rf"^window height and width must be ints, got {shown}$"):
         WindowShape(height, width)
+
+
+@pytest.mark.parametrize("label", [None, 5, 2.5, b"2x2", ("2", "2")])
+def test_a_label_that_is_not_a_str_fails_in_one_line(label):
+    # .lower() raises AttributeError on most of these, and from_label catches ValueError and TypeError
+    with pytest.raises(ValueError, match=rf"^expected HxW with H,W in 1\.\.3, got {re.escape(repr(label))}$"):
+        WindowShape.from_label(label)
 
 
 def test_placement_counts():

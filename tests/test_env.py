@@ -128,6 +128,13 @@ def test_a_seed_that_is_not_an_int_fails_in_one_line(seed):
         EpisodeConfig(WindowShape(1, 1), MIXTURE, seed)
 
 
+@pytest.mark.parametrize("shape", ["2x2", (2, 2), None, WindowShape(2, 2).placements()[0]])
+def test_a_shape_that_is_not_a_window_shape_fails_in_one_line(shape):
+    # else run_episodes fails inside the episode loop, on .placements()
+    with pytest.raises(ValueError, match=rf"^shape must be a WindowShape, got {re.escape(repr(shape))}$"):
+        EpisodeConfig(shape, MIXTURE, 0)
+
+
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError):
         EpisodeConfig(shape=WindowShape(1, 1), policy="psychic")

@@ -53,6 +53,7 @@ SWEEP = {
 TRACE = "2c8d710e04e259f60f1698e53fa18317598b58feae6c21a3be96e8ceeb4d00d5"
 # run --window 2x1 --episodes 200 --seed 42 --trace on the uniform table, per --policy
 RUN_TRACES = {
+    "mixture": "917cbdc1a1f68873fc3e299ff5d3a903be5aa64663a200368032348ac22f4952",
     "maxbelief": "d3bcf19eee3d2593653dfa421381b0d212db74a0e7f7839e1d6162f955776dcf",
     "random": "6b6b565f782c26a9692466bdd6749d4d1a092de60bf1a8866ba3ff3e9500e2f6",
 }

@@ -6,22 +6,17 @@ import rbtbench
 
 PUBLIC = {
     # belief
-    "Belief", "EmptySupportError", "Observation", "WindowPlacement", "WindowShape",
-    "ZeroEvidenceError", "initial_belief", "predict", "update",
+    "EmptySupportError", "Observation", "WindowPlacement", "WindowShape", "ZeroEvidenceError",
+    "initial_belief", "predict", "update",
     # env
-    "MAXBELIEF", "MIXTURE", "POLICIES", "RANDOM", "EpisodeConfig", "EpisodeResult", "Outcome",
-    "StepRecord", "decide", "run_episode", "run_episodes", "sample_window",
-    # game
-    "Action", "GameStatus",
+    "MAXBELIEF", "MIXTURE", "RANDOM", "EpisodeConfig", "EpisodeResult", "Outcome", "StepRecord", "decide",
+    "run_episodes",
     # metrics
-    "InsufficientSamplesError", "SweepRow", "TimestepAggregate", "aggregate_by_timestep", "iou",
-    "mean_ci95",
+    "InsufficientSamplesError", "TimestepAggregate", "aggregate_by_timestep", "mean_ci95",
     # opponents
-    "EpsilonMinimaxOpponent", "MinimaxOpponent", "OpponentModel", "TerminalStateError",
-    "UniformRandomOpponent",
+    "EpsilonMinimaxOpponent", "MinimaxOpponent", "UniformRandomOpponent",
     # policy
-    "ActionSet", "ActionValues", "MissingQEntryError", "alt_values", "argmax_set",
-    "max_belief_states", "mixture_values",
+    "MissingQEntryError", "mixture_values",
     # solver
     "CorruptEntryError", "FormatVersionMismatchError", "QTable", "load_qtable", "save_qtable",
     "solve_q",
@@ -36,7 +31,7 @@ def public_names():
 
 
 def test_public_surface_is_the_pinned_list():
-    assert len(PUBLIC) <= 47
+    assert len(PUBLIC) <= 32
     assert public_names() == PUBLIC
 
 
