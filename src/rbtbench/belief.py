@@ -23,7 +23,6 @@ stays exact: the true board always keeps positive mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import fsum
 
 from .game import Action, board_marks, transitions
@@ -50,6 +49,10 @@ class WindowShape:
             raise ValueError(f"window height and width must be ints, got {self.height!r}x{self.width!r}")
         if not (1 <= self.height <= 3 and 1 <= self.width <= 3):
             raise ValueError(f"window shape must be within 1..3, got {self.height}x{self.width}")
+        # Derived once per shape; not a dataclass field, so equality and hashing ignore it.
+        object.__setattr__(self, "_placements", tuple(
+            WindowPlacement(top=t, left=l, shape=self) for t in range(4 - self.height) for l in range(4 - self.width)
+        ))
 
     @property
     def label(self) -> str:
@@ -66,16 +69,6 @@ class WindowShape:
     def placements(self) -> tuple["WindowPlacement", ...]:
         """All (4-h)*(4-w) positions where the window fits, row-major."""
         return self._placements
-
-    @cached_property
-    def _placements(self) -> tuple["WindowPlacement", ...]:
-        # Built on first use, once per shape; not a dataclass field, so
-        # equality and hashing ignore it.
-        return tuple(
-            WindowPlacement(top=t, left=l, shape=self)
-            for t in range(4 - self.height)
-            for l in range(4 - self.width)
-        )
 
 
 @dataclass(frozen=True)

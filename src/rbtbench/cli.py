@@ -146,6 +146,15 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
 BAR_COLORS = {MIXTURE: "#4878a8", MAXBELIEF: "#e1812c"}
 
 
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, size: int, body, anchor: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}">{body}</text>'
+
+
 def render_returns_svg(rows: Sequence[SweepRow]) -> str:
     """Grouped bar chart of mean returns with 95% CI whiskers, one group per window."""
     windows = list(dict.fromkeys(r.window for r in rows))
@@ -167,20 +176,12 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">Average return by sensing window</text>',
+        _text(f"{width / 2:.2f}", 24, 15, "Average return by sensing window", "middle"),
     ]
     for tick in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        yy = y(tick)
-        stroke = "#888888" if tick == 0.0 else "#dddddd"
-        out.append(
-            f'<line x1="{left}" y1="{yy:.2f}" x2="{left + plot_w}" y2="{yy:.2f}" '
-            f'stroke="{stroke}" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 8}" y="{yy + 4:.2f}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="12">{tick:g}</text>'
-        )
+        yy = f"{y(tick):.2f}"
+        out.append(_line(left, yy, left + plot_w, yy, "#888888" if tick == 0.0 else "#dddddd", 1))
+        out.append(_text(left - 8, f"{y(tick) + 4:.2f}", 12, f"{tick:g}", "end"))
     for wi, window in enumerate(windows):
         group_x = left + wi * group_w
         for pi, pol in enumerate(policies):
@@ -194,20 +195,11 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
                 f'&#177; {_fmt(row.ci95)}</title></rect>'
             )
             cx = x + bar_w / 2
-            lo, hi = y(row.mean_return - row.ci95), y(row.mean_return + row.ci95)
-            out.append(
-                f'<line x1="{cx:.2f}" y1="{lo:.2f}" x2="{cx:.2f}" y2="{hi:.2f}" '
-                f'stroke="#333333" stroke-width="1.5"/>'
-            )
+            lo, hi = f"{y(row.mean_return - row.ci95):.2f}", f"{y(row.mean_return + row.ci95):.2f}"
+            out.append(_line(f"{cx:.2f}", lo, f"{cx:.2f}", hi, "#333333", 1.5))
             for yy in (lo, hi):
-                out.append(
-                    f'<line x1="{cx - 4:.2f}" y1="{yy:.2f}" x2="{cx + 4:.2f}" y2="{yy:.2f}" '
-                    f'stroke="#333333" stroke-width="1.5"/>'
-                )
-        out.append(
-            f'<text x="{group_x + group_w / 2:.2f}" y="{height - bottom + 20}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">{window}</text>'
-        )
+                out.append(_line(f"{cx - 4:.2f}", yy, f"{cx + 4:.2f}", yy, "#333333", 1.5))
+        out.append(_text(f"{group_x + group_w / 2:.2f}", height - bottom + 20, 13, window, "middle"))
     for pi, pol in enumerate(policies):
         lx = left + plot_w - 130
         ly = top + 8 + pi * 18
@@ -215,9 +207,7 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
             f'<rect x="{lx}" y="{ly}" width="12" height="12" '
             f'fill="{BAR_COLORS[pol]}"/>'
         )
-        out.append(
-            f'<text x="{lx + 18}" y="{ly + 10}" font-family="sans-serif" font-size="12">{pol}</text>'
-        )
+        out.append(_text(lx + 18, ly + 10, 12, pol))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -233,6 +233,8 @@ def run_episodes(config: EpisodeConfig, q: QTable, episodes: int) -> list[Episod
     The per-episode seed derivation means a batch can be sharded across
     workers and still reproduce the single-process results exactly.
     """
+    if type(episodes) is not int or episodes < 0:  # no bools: True would play one episode
+        raise ValueError(f"episodes must be an int of at least 0, got {episodes!r}")
     c = config  # every field by keyword: cheaper than dataclasses.replace, same __post_init__
     return [run_episode(EpisodeConfig(shape=c.shape, policy=c.policy, seed=c.seed + i), q)
             for i in range(episodes)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
 from .policy import ActionSet
@@ -50,6 +51,8 @@ def mean_ci95(returns: Sequence[float]) -> tuple[float, float]:
     n = len(returns)
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
+    if not all(map(isfinite, returns)):  # else statistics fails on it with an error that names no return
+        raise ValueError(f"returns must be finite, got {next(r for r in returns if not isfinite(r))!r}")
     mean = statistics.fmean(returns)
     return mean, 1.96 * statistics.stdev(returns, xbar=mean) / n**0.5
 

@@ -59,20 +59,18 @@ def _replies(eps: float, best: tuple[bool, ...]) -> list[float]:
     # depend on these exact floats; uniform (share 0) needs no best replies
     top = base + share * (1.0 / best.count(True)) if share else base
     probs = [top if b else base for b in best]
-    total = 0.0
-    for p in probs:
-        total += p
     # Summed in the order sampling and the solver sum them, rounding can put the
     # total above 1, or (eps 3e-16) more than an ulp below it; then the largest
     # probability moves one ulp toward the gap at a time until it does not (at
     # most four steps down on the eps grid, one up for eps 2e-16 to 1e-15).
-    while not 1.0 - ulp(1.0) <= total <= 1.0:
-        j = probs.index(max(probs))
-        probs[j] = nextafter(probs[j], 0.0 if total > 1.0 else 2.0)
+    while True:
         total = 0.0
         for p in probs:
             total += p
-    return probs
+        if 1.0 - ulp(1.0) <= total <= 1.0:
+            return probs
+        j = probs.index(max(probs))
+        probs[j] = nextafter(probs[j], 0.0 if total > 1.0 else 2.0)
 
 
 # eps (for _replies) and descriptor (the Q-table header tag) are class constants, not fields

@@ -215,8 +215,5 @@ def _listed(states: list[int]) -> str:
 
 def qtable_digest(path) -> str:
     """SHA-256 of a Q-table file, recorded in run manifests."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    with open(path, "rb") as fh:  # a table is under 200 KB, and load_qtable has already read it whole
+        return hashlib.sha256(fh.read()).hexdigest()

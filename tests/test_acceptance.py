@@ -31,7 +31,9 @@ from rbtbench.cli import step_to_json
 from rbtbench.env import MAXBELIEF, MIXTURE, EpisodeConfig, run_episodes
 from rbtbench.game import cell_mark
 from rbtbench.metrics import aggregate_by_timestep, mean_ci95
+from rbtbench.opponents import EpsilonMinimaxOpponent
 from rbtbench.policy import ARGMAX_TOL, alt_values, argmax_set, mixture_values
+from rbtbench.solver import solve_q
 
 import oracles
 
@@ -289,3 +291,19 @@ def test_7_invariant_fuzz(q_uniform):
 
     report(7, "invariant fuzz (normalization, truth, parity, margins, determinism)",
            True, f"9 shapes x 500 episodes; {lin_checked} linearity mixes")
+
+
+def test_8_the_headline_reverses_on_eps_0_1_2x2():
+    # Measured, not proven: QMDP is not the Bayes-optimal policy, so no theorem orders it against the
+    # baseline.  Against the eps 0.1 minimax opponent at window 2x2 the max-belief baseline's exact return
+    # is the higher one; 20,000 Monte Carlo episodes a policy cannot tell the two apart.
+    q = solve_q(EpsilonMinimaxOpponent(0.1))
+    placements = tuple(p.cells() for p in WindowShape(2, 2).placements())
+    exact = {policy: oracles.exact_return(placements, lambda belief: argmax_set(rule(belief, q)), ("eps", 0.1))
+             for policy, rule in VALUE_RULES.items()}
+    detail = f"exact mixture {exact[MIXTURE]:.6f} vs maxbelief {exact[MAXBELIEF]:.6f}"
+    report(8, "eps 0.1 minimax, 2x2: the baseline beats the mixture policy (measured)",
+           exact[MAXBELIEF] > exact[MIXTURE], detail)
+    assert exact[MIXTURE] == pytest.approx(-0.044236, abs=1e-6), detail
+    assert exact[MAXBELIEF] == pytest.approx(-0.036670, abs=1e-6), detail
+    assert exact[MAXBELIEF] > exact[MIXTURE], detail

@@ -128,6 +128,16 @@ def test_a_seed_that_is_not_an_int_fails_in_one_line(seed):
         EpisodeConfig(WindowShape(1, 1), MIXTURE, seed)
 
 
+def test_an_episode_count_that_is_negative_or_not_an_int_fails_in_one_line(q_uniform):
+    # -1 returned no episodes and True played one, silently; 2.0 and "3" raised TypeError from range
+    config = EpisodeConfig(WindowShape(1, 1), MIXTURE, 0)
+    for episodes in (-1, -(10 ** 9), True, False, 2.0, "3", None):
+        message = rf"^episodes must be an int of at least 0, got {re.escape(repr(episodes))}$"
+        with pytest.raises(ValueError, match=message):
+            run_episodes(config, q_uniform, episodes)
+    assert run_episodes(config, q_uniform, 0) == []
+
+
 @pytest.mark.parametrize("shape", ["2x2", (2, 2), None, WindowShape(2, 2).placements()[0]])
 def test_a_shape_that_is_not_a_window_shape_fails_in_one_line(shape):
     # else run_episodes fails inside the episode loop, on .placements()
@@ -222,6 +232,23 @@ def test_reply_sampling_follows_the_distribution():
     for cell, p in want.items():
         se = (p * (1 - p) / n) ** 0.5
         assert abs(counts[cell] / n - p) < 4 * se + 1e-9
+
+
+def test_a_draw_at_or_above_the_summed_probabilities_takes_the_last_reply(monkeypatch):
+    # _replies lets probabilities sum to an ulp below 1, and random() can return 1 - 2**-53, above that sum
+    pairs = ((1, 0.5), (7, 0.5 - 2**-52))
+    monkeypatch.setattr(env, "reply_distribution", lambda model, index: pairs)
+
+    class Draw:
+        def __init__(self, r):
+            self.r = r
+
+        def random(self):
+            return self.r
+
+    assert env._sample_reply(UNIFORM, 0, Draw(0.25)) == 1
+    for r in (1.0 - 2**-52, 1.0 - 2**-53):  # at the sum, then above it
+        assert env._sample_reply(UNIFORM, 0, Draw(r)) == 7
 
 
 # --- the per-belief decision cache ---------------------------------------------

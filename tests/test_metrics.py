@@ -78,6 +78,16 @@ def test_mean_ci95_needs_two_samples():
         mean_ci95([1.0])
 
 
+@pytest.mark.parametrize("returns, bad", [
+    ([math.nan, 1.0], "nan"), ([1.0, math.inf], "inf"),
+    ([math.inf, -math.inf], "inf"), ([0.5, -math.inf, math.nan], "-inf"),
+])
+def test_mean_ci95_names_the_first_return_that_is_not_finite(returns, bad):
+    # statistics raised AttributeError ('float' object has no attribute 'numerator') or fsum's "-inf + inf"
+    with pytest.raises(ValueError, match=f"^returns must be finite, got {bad}$"):
+        mean_ci95(returns)
+
+
 def test_aggregate_by_timestep_single_trace(q_uniform):
     config = EpisodeConfig(shape=WindowShape(2, 2), seed=4)
     [result] = run_episodes(config, q_uniform, 1)
