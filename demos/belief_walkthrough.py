@@ -50,7 +50,7 @@ print("belief-weighted action values:")
 print("  " + " ".join(f"{a}:{v:+.3f}" for a, v in enumerate(values)))
 print("\nhow likely was each observation? (2x2 windows, before the reveal)")
 # placements are uniform and independent of the board: each gets 1/4 of the predicted mass
-predicted, placements = predict(initial_belief(), 4, opponent), WindowShape(2, 2).placements()
+predicted, placements = predict(initial_belief(), 4, opponent), WindowShape(2, 2).placements
 dist = {}
 for pl in placements:
     for state, p in predicted.items():

@@ -49,8 +49,8 @@ class WindowShape:
             raise ValueError(f"window height and width must be ints, got {self.height!r}x{self.width!r}")
         if not (1 <= self.height <= 3 and 1 <= self.width <= 3):
             raise ValueError(f"window shape must be within 1..3, got {self.height}x{self.width}")
-        # Derived once per shape; not a dataclass field, so equality and hashing ignore it.
-        object.__setattr__(self, "_placements", tuple(
+        # The (4-h)*(4-w) positions where it fits, row-major; not a dataclass field, so equality and hashing ignore it.
+        object.__setattr__(self, "placements", tuple(
             WindowPlacement(top=t, left=l, shape=self) for t in range(4 - self.height) for l in range(4 - self.width)
         ))
 
@@ -65,10 +65,6 @@ class WindowShape:
             return cls(height=int(h), width=int(w))
         except (ValueError, TypeError):
             raise ValueError(f"expected HxW with H,W in 1..3, got {label!r}") from None
-
-    def placements(self) -> tuple["WindowPlacement", ...]:
-        """All (4-h)*(4-w) positions where the window fits, row-major."""
-        return self._placements
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,10 @@ class WindowPlacement:
         rows, cols = range(self.top, self.top + self.shape.height), range(self.left, self.left + self.shape.width)
         cells = tuple(r * 3 + c for r in rows for c in cols)
         # Derived once; not dataclass fields, so equality and hashing ignore them.
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "cells", cells)  # row-major
         object.__setattr__(self, "mask", sum(513 << c for c in cells))  # each cell's X bit and O bit, 1 | 1 << 9
         object.__setattr__(self, "tag", sum(1 << 18 + c for c in cells))  # the cells, above any ``seen``
         object.__setattr__(self, "_observations", {})  # seen -> Observation
-
-    def cells(self) -> tuple[int, ...]:
-        return self._cells
 
     def observe(self, index: int) -> "Observation":
         """The observation of reachable board `index` through this window, one per ``seen``; any other raises."""
@@ -120,14 +113,14 @@ class Observation:
     def __post_init__(self):
         seen, placement = self.seen, self.placement
         if type(seen) is not int or seen & ~placement.mask or seen & seen >> 9:  # no bools; no cell both X and O
-            raise ValueError(f"seen={seen!r} is not a read of the window cells {placement.cells()}")
+            raise ValueError(f"seen={seen!r} is not a read of the window cells {placement.cells}")
         # Not a field.  Keys are equal exactly when observations are; an int one calls no dataclass __hash__.
         object.__setattr__(self, "key", seen | placement.tag)
 
     @property
     def contents(self) -> tuple[int, ...]:
         """The cell digits (0 empty / 1 X / 2 O) in row-major window order."""
-        return tuple(self.seen >> c & 1 | self.seen >> c + 8 & 2 for c in self.placement.cells())
+        return tuple(self.seen >> c & 1 | self.seen >> c + 8 & 2 for c in self.placement.cells)
 
 
 def initial_belief() -> Belief:

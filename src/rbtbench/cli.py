@@ -237,7 +237,7 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
         f"t={step.t}  window {pl.shape.label} at (row {pl.top}, col {pl.left})",
         "  observed:",
     ]
-    lines.extend("    |" + row + "|" for row in grid_rows(dict(zip(pl.cells(), step.observation.contents))))
+    lines.extend("    |" + row + "|" for row in grid_rows(dict(zip(pl.cells, step.observation.contents))))
     n = step.belief_support_size
     lines.append(f"  belief ({n} state{'s' if n != 1 else ''}):")
     ranked = sorted(step.belief.items(), key=lambda kv: (-kv[1], kv[0]))

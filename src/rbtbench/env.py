@@ -10,16 +10,14 @@ opponent (``q.opponent``) sees the full board and never plays an invalid move.
 All randomness in an episode comes from one generator seeded by the config, so
 identical configs replay bit-identically.
 
-Both policies act on one ``decide(belief, q)``.  A decision is a pure
-function of the belief and the Q-table, and beliefs repeat across episodes,
-so each table caches a belief-transition graph in its private cache: a node
-holds a prior belief and, per observation key, the observation, posterior
-and decision; a decision holds, per action, the node of the predicted prior.
-A step reads the key off the true board's marks (``Observation.key`` is
-``marks & mask | tag``) and walks one edge.  Only a new edge builds
-the observation and runs the filter (``update``, then ``decide``, which keeps
-one decision per posterior belief).  The cache changes no result: a cold and
-a warm table give equal episodes.
+Both policies act on one pure ``decide(belief, q)``.  Beliefs repeat across
+episodes, so each table caches a belief graph, one ``Node`` per distinct
+belief.  A step reads the observation key off the true board's marks
+(``Observation.key`` is ``marks & mask | tag``) and walks the prior's edge
+to its posterior, then the posterior's edge for its action to the next
+prior.  Only a new edge runs the filter (``update`` or ``predict``), and only
+a node first reached as a posterior runs ``decide``.  The cache changes no
+result: a cold and a warm table give equal episodes.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.shape, WindowShape):  # else the first episode fails on .placements()
+        if not isinstance(self.shape, WindowShape):  # else the first episode fails on .placements
             raise ValueError(f"shape must be a WindowShape, got {self.shape!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
@@ -102,7 +100,7 @@ class EpisodeResult:
 
 def sample_window(shape: WindowShape, rng: Random) -> WindowPlacement:
     """Placement drawn uniformly from all positions where the window fits."""
-    return rng.choice(shape.placements())
+    return rng.choice(shape.placements)
 
 
 def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
@@ -116,18 +114,8 @@ def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
     return pairs[-1][0]
 
 
-# A node of the belief-transition graph: a prior belief, and the edges out of
-# it, observation key -> (Observation, posterior, Decision).
-Node = tuple[Belief, dict]
-
-
 class Decision(NamedTuple):
-    """What both policies make of one posterior belief, and what follows from it.
-
-    ``decide`` keeps one per belief in ``QTable._decisions``.  ``predictions``
-    maps an action to the graph node of the prior predicted from this belief
-    with ``q.opponent``.  Cached beliefs are never handed out, only copied.
-    """
+    """What both policies make of one posterior belief."""
 
     a_mix: ActionSet
     a_max: ActionSet
@@ -135,7 +123,30 @@ class Decision(NamedTuple):
     margin: float
     mix_choices: tuple[Action, ...]  # sorted(a_mix), the tie-break draws from it
     max_choices: tuple[Action, ...]  # sorted(a_max)
-    predictions: dict[Action, Node]
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class Node:
+    """One distinct belief in ``QTable._graph``; its ``decision`` is set when it is first a posterior.
+
+    One dict, ``edges``, maps an observation key to ``(Observation, posterior node)`` and an action to the
+    node of the prior predicted with ``q.opponent``; the keys never meet, as ``tag`` puts an observation key
+    at 2**18 or more and an action is 0-8.  A read that rules out no board leads to None, not back to the
+    node: with no reference cycle, a table's graph is freed with it.  A belief is only ever copied out.
+    """
+
+    belief: Belief
+    edges: dict = field(default_factory=dict)
+    decision: Decision | None = None
+
+
+def _node(belief: Belief, q: QTable) -> Node:
+    """The node of `belief` in ``q._graph``, keyed on its items flattened: n boards, then n masses."""
+    key = (*belief, *belief.values())
+    node = q._graph.get(key)
+    if node is None:
+        node = q._graph[key] = Node(belief)
+    return node
 
 
 @lru_cache(maxsize=None)
@@ -149,30 +160,16 @@ def decide(belief: Belief, q: QTable) -> Decision:
 
     The mixture policy is greedy on the belief-weighted Q-values (QMDP), the
     max-belief baseline on Q averaged over the modal states; ``rbtbench.metrics``
-    defines the margin.  Memoized per belief on ``q``.
+    defines the margin.  Pure: it keeps nothing of `belief` or its result.
     """
-    key = (*belief, *belief.values())  # the items, flattened: n keys, then n values
-    decision = q._decisions.get(key)
-    if decision is None:
-        mix_vals = mixture_values(belief, q)
-        a_mix, mix_choices = _shared(argmax_set(mix_vals))
-        if len(key) == 2 and key[1] == 1.0:  # one board at mass 1.0: alt_values is this very sum
-            a_max, max_choices = a_mix, mix_choices
-        else:
-            a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
-        margin = max(mix_vals) - mean_value(mix_vals, a_max)
-        decision = q._decisions[key] = Decision(
-            a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices, {}
-        )
-    return decision
-
-
-def _root(q: QTable) -> Node:
-    """The empty board's graph node, in ``q._decisions`` under ``None`` (no belief key is ``None``)."""
-    node = q._decisions.get(None)
-    if node is None:
-        node = q._decisions[None] = (initial_belief(), {})
-    return node
+    mix_vals = mixture_values(belief, q)
+    a_mix, mix_choices = _shared(argmax_set(mix_vals))
+    if [*belief.values()] == [1.0]:  # one board at mass 1.0: alt_values is this very sum
+        a_max, max_choices = a_mix, mix_choices
+    else:
+        a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
+    margin = max(mix_vals) - mean_value(mix_vals, a_max)
+    return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices)
 
 
 # How X's action ends an episode, keyed on its reward in ``ends``; O's reply ends one only by winning.
@@ -184,19 +181,21 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     board = 0
     moves, replies = transitions()
     marks = board_marks()
-    node = _root(q)
+    node = _node(initial_belief(), q)
     steps: list[StepRecord] = []
     true_states: list[int] = []
 
     for t in range(5):  # X can place at most five marks
         placement = sample_window(config.shape, rng)
-        prior, posteriors = node
-        edge = posteriors.get(marks[board] & placement.mask | placement.tag)  # the key of the board's observation
+        edge = node.edges.get(marks[board] & placement.mask | placement.tag)  # the key of the board's observation
         if edge is None:
             obs = placement.observe(board)
-            posterior = update(prior, obs)
-            edge = posteriors[obs.key] = (obs, posterior, decide(posterior, q))
-        obs, belief, decision = edge
+            posterior = _node(update(node.belief, obs), q)
+            if posterior.decision is None:
+                posterior.decision = decide(posterior.belief, q)
+            edge = node.edges[obs.key] = (obs, None if posterior is node else posterior)
+        obs, node = edge[0], edge[1] or node  # None: the read ruled out no board
+        belief, decision = node.belief, node.decision
         true_states.append(board)
 
         if config.policy == MIXTURE:
@@ -220,9 +219,10 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
                                 decision.iou, decision.margin, action, reward))
         if outcome is not None:
             return EpisodeResult(steps, reward, outcome, true_states)
-        node = decision.predictions.get(action)
-        if node is None:
-            node = decision.predictions[action] = (predict(belief, action, q.opponent), {})
+        prior = node.edges.get(action)
+        if prior is None:
+            prior = node.edges[action] = _node(predict(belief, action, q.opponent), q)
+        node = prior
 
     raise AssertionError("episode failed to terminate within five agent moves")
 

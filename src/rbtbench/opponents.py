@@ -95,7 +95,7 @@ class EpsilonMinimaxOpponent:
             raise ValueError(f"eps_minimax must be a number, got {self.eps!r}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must be in [0, 1], got {self.eps}")
-        object.__setattr__(self, "eps", float(self.eps))  # an int eps is written to a Q-table as its float
+        object.__setattr__(self, "eps", float(self.eps) + 0.0)  # written to a Q-table as a float; -0.0 as 0.0
 
     descriptor = property(lambda self: {"eps_minimax": self.eps})
 

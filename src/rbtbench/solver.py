@@ -40,15 +40,15 @@ class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
 
     Entries are read-only once episodes run on the table: the episode loop
-    keeps its belief-transition graph, and the decisions it computes from the
-    entries, in the table's private cache (``env`` alone reads and writes
-    it).  To change values, build a new ``QTable``.
+    keeps its belief graph, one node per distinct belief with the decision
+    computed from the entries, in the table's private cache (``env`` alone
+    reads and writes it).  To change values, build a new ``QTable``.
     """
 
     opponent: OpponentModel  # the model the values were solved against; its header tag is opponent.descriptor
     entries: dict[int, list[float]] = field(default_factory=dict)
-    # env's belief-transition graph and per-belief decisions
-    _decisions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # env's belief graph: belief key -> env.Node
+    _graph: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def state_value(self, state_index: int) -> float:
         return max(self.entries[state_index])

@@ -70,7 +70,7 @@ def exact_values(q_uniform):
     """(window, policy) -> exact expected return, for WINDOWS and the 3x3 anchor."""
     cells = {}
     for window in WINDOWS + ("3x3",):
-        placements = tuple(p.cells() for p in WindowShape.from_label(window).placements())
+        placements = tuple(p.cells for p in WindowShape.from_label(window).placements)
         for policy, rule in VALUE_RULES.items():
             cells[window, policy] = oracles.exact_return(
                 placements, lambda belief: argmax_set(rule(belief, q_uniform)), "uniform"
@@ -173,7 +173,7 @@ def test_4_belief_filter_matches_bruteforce_posterior(q_uniform):
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
         observations = [
-            (s.observation.placement.cells(), s.observation.contents)
+            (s.observation.placement.cells, s.observation.contents)
             for s in steps
         ]
         for k in range(len(steps)):
@@ -298,7 +298,7 @@ def test_8_the_headline_reverses_on_eps_0_1_2x2():
     # baseline.  Against the eps 0.1 minimax opponent at window 2x2 the max-belief baseline's exact return
     # is the higher one; 20,000 Monte Carlo episodes a policy cannot tell the two apart.
     q = solve_q(EpsilonMinimaxOpponent(0.1))
-    placements = tuple(p.cells() for p in WindowShape(2, 2).placements())
+    placements = tuple(p.cells for p in WindowShape(2, 2).placements)
     exact = {policy: oracles.exact_return(placements, lambda belief: argmax_set(rule(belief, q)), ("eps", 0.1))
              for policy, rule in VALUE_RULES.items()}
     detail = f"exact mixture {exact[MIXTURE]:.6f} vs maxbelief {exact[MAXBELIEF]:.6f}"

@@ -33,7 +33,7 @@ def board(*cells):
 
 def read(placement, digits):
     """The observation of `digits` (row-major) through `placement`, built from the oracle's bits."""
-    return Observation(placement=placement, seen=oracles.window_seen(placement.cells(), digits))
+    return Observation(placement=placement, seen=oracles.window_seen(placement.cells, digits))
 
 
 def assert_close_beliefs(got, want, tol=1e-9):
@@ -70,7 +70,7 @@ def test_a_label_that_is_not_a_str_fails_in_one_line(label):
 
 def test_placement_counts():
     for h, w in product(range(1, 4), repeat=2):
-        assert len(WindowShape(h, w).placements()) == (4 - h) * (4 - w)
+        assert len(WindowShape(h, w).placements) == (4 - h) * (4 - w)
 
 
 def test_placement_must_fit():
@@ -87,7 +87,7 @@ def test_a_placement_at_non_ints_fails_in_one_line(top, left, shown):
 
 def test_window_cells_row_major():
     placement = WindowPlacement(top=1, left=1, shape=WindowShape(2, 2))
-    assert placement.cells() == (4, 5, 7, 8)
+    assert placement.cells == (4, 5, 7, 8)
 
 
 def test_label_round_trip():
@@ -128,8 +128,8 @@ def test_likelihood_depends_only_on_covered_cells():
 def test_observe_reads_the_oracle_digits_for_every_placement_and_reachable_board():
     boards = [(index, oracles.cells_of(index)) for index in reachable_boards()]
     for h, w in product(range(1, 4), repeat=2):
-        for placement in WindowShape(h, w).placements():
-            cells = placement.cells()
+        for placement in WindowShape(h, w).placements:
+            cells = placement.cells
             for index, digits in boards:
                 assert placement.observe(index).contents == tuple(digits[c] for c in cells)
 
@@ -220,7 +220,7 @@ def run_history_check(kind, shape, seeds, q):
         steps = result.steps[:3]
         actions = [s.chosen_action for s in steps]
         observations = [
-            (s.observation.placement.cells(), s.observation.contents)
+            (s.observation.placement.cells, s.observation.contents)
             for s in steps
         ]
         for k in range(len(steps)):
@@ -249,7 +249,7 @@ def test_two_by_two_reaches_the_five_state_profile():
         b0 = oracles.place(0, a0, 1)
         for r0 in boards[b0][2]:
             b1 = oracles.place(b0, r0, 2)
-            for pl1 in shape.placements():
+            for pl1 in shape.placements:
                 bel1 = update(predict(initial_belief(), a0, UNIFORM), pl1.observe(b1))
                 for a1 in boards[b1][2]:
                     b2 = oracles.place(b1, a1, 1)
@@ -259,7 +259,7 @@ def test_two_by_two_reaches_the_five_state_profile():
                         b3 = oracles.place(b2, r1, 2)
                         if boards[b3][0] is not GameStatus.IN_PROGRESS:
                             continue
-                        for pl2 in shape.placements():
+                        for pl2 in shape.placements:
                             bel2 = update(predict(bel1, a1, UNIFORM), pl2.observe(b3))
                             if sorted(round(p, 9) for p in bel2.values()) == target:
                                 return
@@ -288,7 +288,7 @@ def test_update_equals_a_brute_force_filter_on_every_placement(h, w, picks, weig
     prior = {DECISION_STATES[i]: p for i, p in zip(picks, weights)}  # drawn order: often unsorted
     true = DECISION_STATES[picks[seen % len(picks)]] if in_prior else DECISION_STATES[seen]
     for top, left in product(range(4 - h), range(4 - w)):
-        cells = WindowPlacement(top=top, left=left, shape=WindowShape(h, w)).cells()
+        cells = WindowPlacement(top=top, left=left, shape=WindowShape(h, w)).cells
         contents = tuple(oracles.cells_of(true)[c] for c in cells)
         matched = {s: p for s, p in prior.items() if tuple(oracles.cells_of(s)[c] for c in cells) == contents}
         total = math.fsum(matched.values())

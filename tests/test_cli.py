@@ -90,7 +90,7 @@ def test_run_full_window_policies_coincide(q_uniform_path, tmp_path):
 
 def observation_from_json(o: dict) -> Observation:
     placement = WindowPlacement(top=o["top"], left=o["left"], shape=WindowShape(height=o["height"], width=o["width"]))
-    return Observation(placement=placement, seen=oracles.window_seen(placement.cells(), o["contents"]))
+    return Observation(placement=placement, seen=oracles.window_seen(placement.cells, o["contents"]))
 
 
 def step_from_json(obj: dict) -> tuple[int, StepRecord]:

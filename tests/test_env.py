@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -138,9 +139,9 @@ def test_an_episode_count_that_is_negative_or_not_an_int_fails_in_one_line(q_uni
     assert run_episodes(config, q_uniform, 0) == []
 
 
-@pytest.mark.parametrize("shape", ["2x2", (2, 2), None, WindowShape(2, 2).placements()[0]])
+@pytest.mark.parametrize("shape", ["2x2", (2, 2), None, WindowShape(2, 2).placements[0]])
 def test_a_shape_that_is_not_a_window_shape_fails_in_one_line(shape):
-    # else run_episodes fails inside the episode loop, on .placements()
+    # else run_episodes fails inside the episode loop, on .placements
     with pytest.raises(ValueError, match=rf"^shape must be a WindowShape, got {re.escape(repr(shape))}$"):
         EpisodeConfig(shape, MIXTURE, 0)
 
@@ -251,10 +252,10 @@ def test_a_draw_at_or_above_the_summed_probabilities_takes_the_last_reply(monkey
         assert env._sample_reply(UNIFORM, 0, Draw(r)) == 7
 
 
-# --- the per-belief decision cache ---------------------------------------------
+# --- the belief graph's decisions -----------------------------------------------
 
 def fresh_copy(q):
-    """Same entries, empty decision cache."""
+    """Same entries, empty belief graph."""
     return QTable(opponent=q.opponent, entries=q.entries)
 
 
@@ -269,9 +270,9 @@ def test_cold_and_warm_cache_give_equal_results(q_uniform):
     for config in cache_configs():
         cold = run_episodes(config, fresh_copy(q_uniform), 150)
         first = run_episodes(config, q, 150)
-        cached = len(q._decisions)
+        cached = len(q._graph)
         warm = run_episodes(config, q, 150)
-        assert cached > 0 and len(q._decisions) == cached  # the second run only hit the cache
+        assert cached > 0 and len(q._graph) == cached  # the second run only hit the cache
         assert cold == first == warm
 
 
@@ -296,6 +297,21 @@ def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
         belief.clear()
         belief[0] = 0.5
     assert run_episodes(config, q, 100) == want
+
+
+def test_decide_is_pure(q_uniform):
+    # it builds no node and keeps no reference to its argument
+    q = fresh_copy(q_uniform)
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=60)
+    want = run_episodes(config, fresh_copy(q_uniform), 100)
+    beliefs = [initial_belief()] + [dict(s.belief) for r in want for s in r.steps]
+    decisions = [decide(belief, q) for belief in beliefs]
+    assert q._graph == {}
+    for belief in beliefs:
+        belief.clear()
+        belief[0] = 0.5
+    assert run_episodes(config, q, 100) == want
+    assert decisions[1:] == [decide(s.belief, q) for r in want for s in r.steps]
 
 
 def test_step_decisions_match_the_policy_functions(q_uniform):
@@ -346,7 +362,8 @@ def test_only_a_posterior_of_more_than_one_board_runs_the_baselines_sum(monkeypa
     one_board = {items for items in posteriors if len(items) == 1}
     assert one_board and all(p == 1.0 for [(_, p)] in one_board)  # the filter leaves one board at mass 1.0
     assert sorted(tuple(belief.items()) for belief in calls) == sorted(posteriors - one_board)
-    assert len(calls) == len(q._decisions) - 1 - len(one_board)  # one call per computed decision but the root
+    decided = sum(node.decision is not None for node in q._graph.values())  # one per posterior belief
+    assert len(calls) == decided - len(one_board)
 
 
 # --- the belief-transition graph -------------------------------------------------
@@ -354,15 +371,15 @@ def test_only_a_posterior_of_more_than_one_board_runs_the_baselines_sum(monkeypa
 def test_observation_keys_are_equal_exactly_when_observations_are():
     seen = {}
     for height, width in product((1, 2, 3), repeat=2):
-        for placement in WindowShape(height, width).placements():
+        for placement in WindowShape(height, width).placements:
             for contents in product((0, 1, 2), repeat=height * width):
-                obs = Observation(placement=placement, seen=oracles.window_seen(placement.cells(), contents))
+                obs = Observation(placement=placement, seen=oracles.window_seen(placement.cells, contents))
                 assert seen.setdefault(obs.key, obs) == obs  # no two observations share a key
     assert len(seen) == 27 + 2 * 54 + 2 * 81 + 324 + 2 * 1458 + 19683  # every (placement, contents)
     for key, obs in list(seen.items())[::97]:  # an equal observation built anew gets the same key
         shape = WindowShape(obs.placement.shape.height, obs.placement.shape.width)
         twin = Observation(placement=WindowPlacement(obs.placement.top, obs.placement.left, shape),
-                           seen=oracles.window_seen(obs.placement.cells(), obs.contents))
+                           seen=oracles.window_seen(obs.placement.cells, obs.contents))
         assert twin == obs and twin.key == key
 
 
@@ -384,23 +401,39 @@ def test_a_cold_run_updates_once_per_edge(monkeypatch, q_uniform, q_minimax):
     config = EpisodeConfig(shape=WindowShape(1, 1), seed=900)
     run_episodes(config, fresh_copy(q_minimax), 100)  # another table's graph, built first
     calls.clear()
-    results = run_episodes(config, fresh_copy(q_uniform), 300)
-    # a prior node is the root, or what one posterior and one action predict
-    edges = set()
+    q = fresh_copy(q_uniform)
+    results = run_episodes(config, q, 300)
+    # a prior node is its belief: the root, or what any posterior and action predict
+    edges, priors, posteriors = set(), {tuple(initial_belief().items())}, set()
     for result in results:
-        node = None
+        prior = initial_belief()
         for step in result.steps:
-            edges.add((node, step.observation.key))
-            node = (tuple(step.belief.items()), step.chosen_action)
+            edges.add((tuple(prior.items()), step.observation.key))
+            posteriors.add(tuple(step.belief.items()))
+            if step is not result.steps[-1]:
+                prior = predict(step.belief, step.chosen_action, q.opponent)
+                priors.add(tuple(prior.items()))
     assert len(calls) == len(set(calls)) == len(edges)
     assert len(edges) < sum(len(r.steps) for r in results) / 2  # most steps walk a cached edge
+    assert len(q._graph) == len(priors | posteriors)  # one node per distinct belief
+
+
+def test_a_tables_graph_is_freed_with_it(q_uniform):
+    # a read that rules out no board (every read of the empty board) leads to None, not back to its node
+    shape = WindowShape(1, 1)  # kept alive: a shape and its placements refer to each other
+    q = fresh_copy(q_uniform)
+    results = run_episodes(EpisodeConfig(shape=shape, seed=900), q, 300)
+    assert len(q._graph) > 100 and results
+    gc.collect()
+    del q
+    assert gc.collect() == 0  # reference counting freed every node; none was left in a cycle
 
 
 def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):
     calls = counting_updates(monkeypatch)
     config = EpisodeConfig(shape=WindowShape(2, 1), seed=500)
     twin = replace(config, shape=WindowShape(2, 1))
-    assert twin.shape is not config.shape and twin.shape.placements()[0] is not config.shape.placements()[0]
+    assert twin.shape is not config.shape and twin.shape.placements[0] is not config.shape.placements[0]
     q = fresh_copy(q_uniform)
     first = run_episodes(config, q, 200)
     built = len(calls)

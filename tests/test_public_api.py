@@ -1,6 +1,7 @@
 """The public names of `rbtbench`: an explicit list, so the surface only changes on purpose."""
 
 import types
+from pathlib import Path
 
 import rbtbench
 
@@ -38,3 +39,10 @@ def test_public_surface_is_the_pinned_list():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(rbtbench, name) is not None, name
+
+
+def test_the_source_stays_within_its_line_budget():
+    # ROADMAP.md's budget: 1780 lines with the exact engine and its bounds, 20 more for chosen sensing and
+    # the shared graph; counted as `wc -l src/rbtbench/*.py` does, newline characters per module
+    modules = Path(rbtbench.__file__).parent.glob("*.py")
+    assert sum(path.read_bytes().count(b"\n") for path in modules) <= 1800

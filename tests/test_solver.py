@@ -296,6 +296,13 @@ def test_save_writes_a_full_table_in_key_order_whatever_its_insertion_order(q_mi
     assert text.startswith('{"entries":{"0":[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"1":[0.5,')
 
 
+def test_equal_eps_models_save_equal_bytes(tmp_path):
+    # -0.0 == 0.0 and the two models hash alike, so their tables must not differ in the header's sign
+    negative, positive = EpsilonMinimaxOpponent(-0.0), EpsilonMinimaxOpponent(0.0)
+    assert negative == positive and hash(negative) == hash(positive)
+    assert saved_text(solve_q(negative), tmp_path / "neg.json") == saved_text(solve_q(positive), tmp_path / "pos.json")
+
+
 def test_saving_a_full_table_does_not_build_the_reachable_state_set(q_uniform, tmp_path):
     # the one save of a fresh process (the benchmark's set-up) pays for no frozenset of 5478 boards
     _entry_keys.cache_clear()
