@@ -12,12 +12,12 @@ identical configs replay bit-identically.
 
 Both policies act on one pure ``decide(belief, q)``.  Beliefs repeat across
 episodes, so each table caches a belief graph, one ``Node`` per distinct
-belief.  A step reads the observation key off the true board's marks
-(``Observation.key`` is ``marks & mask | tag``) and walks the prior's edge
-to its posterior, then the posterior's edge for its action to the next
-prior.  Only a new edge runs the filter (``update`` or ``predict``), and only
-a node first reached as a posterior runs ``decide``.  The cache changes no
-result: a cold and a warm table give equal episodes.
+belief and role: a prior, or a posterior with its decision.  A step reads the
+observation key off the true board's marks (``Observation.key`` is
+``marks & mask | tag``) and walks the prior's edge to its posterior, then the
+posterior's edge for its action to the next prior.  Only a new edge runs the
+filter (``update`` or ``predict``), and only a new posterior runs ``decide``.
+The cache changes no result: a cold and a warm table give equal episodes.
 """
 
 from __future__ import annotations
@@ -127,25 +127,24 @@ class Decision(NamedTuple):
 
 @dataclass(slots=True, eq=False, repr=False)
 class Node:
-    """One distinct belief in ``QTable._graph``; its ``decision`` is set when it is first a posterior.
+    """One belief in one role in ``QTable._graph``: a prior (``decision`` None) or a posterior.
 
-    One dict, ``edges``, maps an observation key to ``(Observation, posterior node)`` and an action to the
-    node of the prior predicted with ``q.opponent``; the keys never meet, as ``tag`` puts an observation key
-    at 2**18 or more and an action is 0-8.  A read that rules out no board leads to None, not back to the
-    node: with no reference cycle, a table's graph is freed with it.  A belief is only ever copied out.
+    A prior's ``edges`` map an observation key to ``(Observation, posterior)``, a posterior's map an action
+    to the prior predicted with ``q.opponent``: each edge runs prior(t) → posterior(t) → prior(t+1), so the
+    graph holds no cycle and is freed with its table.  A belief is only ever copied out.
     """
 
     belief: Belief
-    edges: dict = field(default_factory=dict)
-    decision: Decision | None = None
+    edges: dict
+    decision: Decision | None
 
 
-def _node(belief: Belief, q: QTable) -> Node:
-    """The node of `belief` in ``q._graph``, keyed on its items flattened: n boards, then n masses."""
-    key = (*belief, *belief.values())
+def _node(belief: Belief, q: QTable, posterior: bool) -> Node:
+    """The node of `belief` in its role in ``q._graph``, keyed on the role, then its n boards and n masses."""
+    key = (posterior, *belief, *belief.values())
     node = q._graph.get(key)
     if node is None:
-        node = q._graph[key] = Node(belief)
+        node = q._graph[key] = Node(belief, {}, decide(belief, q) if posterior else None)
     return node
 
 
@@ -181,7 +180,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
     board = 0
     moves, replies = transitions()
     marks = board_marks()
-    node = _node(initial_belief(), q)
+    node = q._graph.get((False, 0, 1.0)) or _node(initial_belief(), q, False)  # the root, the empty board's prior
     steps: list[StepRecord] = []
     true_states: list[int] = []
 
@@ -190,11 +189,8 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         edge = node.edges.get(marks[board] & placement.mask | placement.tag)  # the key of the board's observation
         if edge is None:
             obs = placement.observe(board)
-            posterior = _node(update(node.belief, obs), q)
-            if posterior.decision is None:
-                posterior.decision = decide(posterior.belief, q)
-            edge = node.edges[obs.key] = (obs, None if posterior is node else posterior)
-        obs, node = edge[0], edge[1] or node  # None: the read ruled out no board
+            edge = node.edges[obs.key] = (obs, _node(update(node.belief, obs), q, True))
+        obs, node = edge
         belief, decision = node.belief, node.decision
         true_states.append(board)
 
@@ -221,7 +217,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             return EpisodeResult(steps, reward, outcome, true_states)
         prior = node.edges.get(action)
         if prior is None:
-            prior = node.edges[action] = _node(predict(belief, action, q.opponent), q)
+            prior = node.edges[action] = _node(predict(belief, action, q.opponent), q, False)
         node = prior
 
     raise AssertionError("episode failed to terminate within five agent moves")
@@ -230,8 +226,7 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
 def run_episodes(config: EpisodeConfig, q: QTable, episodes: int) -> list[EpisodeResult]:
     """Run `episodes` independent episodes, seeding episode i with config.seed + i.
 
-    The per-episode seed derivation means a batch can be sharded across
-    workers and still reproduce the single-process results exactly.
+    So batches whose seeds differ by less than `episodes` share episodes (README "Seeds and replicates").
     """
     if type(episodes) is not int or episodes < 0:  # no bools: True would play one episode
         raise ValueError(f"episodes must be an int of at least 0, got {episodes!r}")

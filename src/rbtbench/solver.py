@@ -40,15 +40,19 @@ class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
 
     Entries are read-only once episodes run on the table: the episode loop
-    keeps its belief graph, one node per distinct belief with the decision
+    keeps its belief graph, one node per belief and role, with decisions
     computed from the entries, in the table's private cache (``env`` alone
     reads and writes it).  To change values, build a new ``QTable``.
     """
 
     opponent: OpponentModel  # the model the values were solved against; its header tag is opponent.descriptor
     entries: dict[int, list[float]] = field(default_factory=dict)
-    # env's belief graph: belief key -> env.Node
+    # env's belief graph: (posterior?, *boards, *masses) -> env.Node
     _graph: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.opponent, OpponentModel):  # else episodes fail at the first reply
+            raise ValueError(f"opponent must be an opponent model, got {self.opponent!r}")
 
     def state_value(self, state_index: int) -> float:
         return max(self.entries[state_index])

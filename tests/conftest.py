@@ -19,7 +19,7 @@ def q_minimax():
 
 @pytest.fixture
 def q_uniform_cold(q_uniform):
-    """The uniform table's entries with an empty decision cache, so `decide` recomputes."""
+    """The uniform table's entries with an empty belief graph, so `decide` recomputes."""
     return QTable(opponent=q_uniform.opponent, entries=q_uniform.entries)
 
 

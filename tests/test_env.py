@@ -22,7 +22,7 @@ from rbtbench.env import (
     run_episodes,
     sample_window,
 )
-from rbtbench.game import cell_mark, transitions
+from rbtbench.game import board_marks, cell_mark, transitions
 from rbtbench.metrics import iou
 from rbtbench import opponents
 from rbtbench.opponents import (
@@ -415,11 +415,11 @@ def test_a_cold_run_updates_once_per_edge(monkeypatch, q_uniform, q_minimax):
                 priors.add(tuple(prior.items()))
     assert len(calls) == len(set(calls)) == len(edges)
     assert len(edges) < sum(len(r.steps) for r in results) / 2  # most steps walk a cached edge
-    assert len(q._graph) == len(priors | posteriors)  # one node per distinct belief
+    assert len(q._graph) == len(priors) + len(posteriors)  # one node per distinct belief and role
 
 
 def test_a_tables_graph_is_freed_with_it(q_uniform):
-    # a read that rules out no board (every read of the empty board) leads to None, not back to its node
+    # a read that rules out no board (every read of the empty board) leads to a posterior, not back to its prior
     shape = WindowShape(1, 1)  # kept alive: a shape and its placements refer to each other
     q = fresh_copy(q_uniform)
     results = run_episodes(EpisodeConfig(shape=shape, seed=900), q, 300)
@@ -427,6 +427,41 @@ def test_a_tables_graph_is_freed_with_it(q_uniform):
     gc.collect()
     del q
     assert gc.collect() == 0  # reference counting freed every node; none was left in a cycle
+
+
+def test_every_edge_runs_from_a_prior_to_a_posterior_to_the_next_prior(q_uniform, q_minimax):
+    marks = board_marks()
+
+    def x_marks(node):
+        [count] = {(marks[board] & 511).bit_count() for board in node.belief}  # one layer per node
+        return count
+
+    for table in (q_uniform, q_minimax):
+        q = fresh_copy(table)
+        for h, w in ((1, 1), (2, 1), (3, 3)):
+            run_episodes(EpisodeConfig(shape=WindowShape(h, w), seed=1400), q, 200)
+        roles = Counter(node.decision is None for node in q._graph.values())
+        assert roles[True] > 10 and roles[False] > 10  # both roles, and each node in one
+        for node in q._graph.values():
+            if node.decision is None:  # a prior: observation key -> (Observation, posterior)
+                for key, (obs, posterior) in node.edges.items():
+                    assert 2**18 <= key == obs.key and posterior.decision is not None
+                    assert x_marks(posterior) == x_marks(node)
+            else:  # a posterior: action -> the prior it predicts
+                for action, prior in node.edges.items():
+                    assert action in range(9) and prior.decision is None
+                    assert x_marks(prior) == x_marks(node) + 1
+
+
+def test_a_warm_table_finds_its_root_without_building_the_initial_belief(monkeypatch, q_uniform):
+    config = EpisodeConfig(shape=WindowShape(2, 1), seed=1450)
+    want = run_episodes(config, fresh_copy(q_uniform), 50)
+    q = fresh_copy(q_uniform)
+    run_episode(replace(config, seed=0), q)  # one warm-up episode builds the root
+    calls = []
+    monkeypatch.setattr(env, "initial_belief", lambda: calls.append(1) or initial_belief())
+    assert run_episodes(config, q, 50) == want
+    assert calls == []
 
 
 def test_window_shapes_with_one_label_share_edges(monkeypatch, q_uniform):

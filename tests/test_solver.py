@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -93,6 +94,13 @@ def test_uniform_opponent_empty_board_is_winning(q_uniform):
 def test_weaker_opponent_never_lowers_the_value(q_uniform, q_minimax):
     for index, row in q_minimax.entries.items():
         assert max(q_uniform.entries[index]) >= max(row) - 1e-12
+
+
+@pytest.mark.parametrize("opponent", ["uniform", None, EpsilonMinimaxOpponent])
+def test_a_table_refuses_an_opponent_that_is_not_a_model(q_uniform, opponent):
+    # else a descriptor in place of the model fails only at an episode's first reply, on .eps
+    with pytest.raises(ValueError, match=f"^opponent must be an opponent model, got {re.escape(repr(opponent))}$"):
+        QTable(opponent=opponent, entries=q_uniform.entries)
 
 
 def test_save_load_round_trip(q_uniform, tmp_path):
