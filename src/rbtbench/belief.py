@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum
 
-from .game import Action, board_marks, transitions
+from .game import Action, board_marks, reachable_boards, transitions
 from .opponents import OpponentModel, reply_distribution
 
 Belief = dict[int, float]
@@ -139,6 +139,8 @@ def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Be
     Moves and replies come from ``game.transitions()``; one that ends the episode carries no mass.
     """
     moves, replies = transitions()
+    if not belief.keys() <= moves.keys():
+        raise ValueError(f"board {min(belief.keys() - moves)} is not a reachable, in-progress board with X to move")
     mass: dict[int, float] = {}
     for index, p in belief.items():
         after_x = moves[index][1].get(agent_action)
@@ -158,7 +160,9 @@ def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Be
 
 def update(belief: Belief, obs: Observation) -> Belief:
     """Condition a belief on a window observation (0/1 likelihood, renormalized)."""
-    marks, mask, seen = board_marks(), obs.placement.mask, obs.seen
+    marks, mask, seen, boards = board_marks(), obs.placement.mask, obs.seen, reachable_boards()
+    if not belief.keys() <= boards.keys():  # marks[-19682] would read board 1's marks
+        raise ValueError(f"board {min(belief.keys() - boards)} is not reachable by legal play from the empty board")
     mass = {s: p for s, p in belief.items() if marks[s] & mask == seen}
     if not mass:
         raise ZeroEvidenceError(f"observation {obs} matches no state in the support")

@@ -115,9 +115,6 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True) builds one per call
-
-
 def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
     """One line per step, equal to ``json.dumps(step_to_json(episode, step), sort_keys=True)``.
 
@@ -133,7 +130,7 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
                    step.belief_support_size, *step.belief, *step.belief.values())
             cut = pieces.get(key)
             if cut is None:
-                line = _ENCODER.encode(step_to_json(episode, step))
+                line = json.dumps(step_to_json(episode, step), sort_keys=True)
                 fh.write(line + "\n")
                 pieces[key] = (line[:line.rindex('"chosen_action": ') + 17],  # rindex: skip the belief
                                line[line.rindex(', "iou": '):line.rindex('"reward": ') + 10])

@@ -91,14 +91,13 @@ def board_marks() -> array:
     return _game()[1]
 
 
-@lru_cache(maxsize=None)
-def enumerate_reachable_states() -> frozenset[int]:
-    """Every board reachable from the empty board under alternating legal play.
+def enumerate_reachable_states():
+    """Every board reachable from the empty board under alternating legal play, as ``reachable_boards()``'s keys.
 
     Terminal boards are included (the solver needs them as successors); boards
     that could only arise from play continuing past a win are not.
     """
-    return frozenset(reachable_boards())
+    return reachable_boards().keys()
 
 
 # An O reply's entry in ``transitions()``'s reply table when it wins, the only

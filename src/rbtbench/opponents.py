@@ -10,7 +10,7 @@ models are its eps:
 * ``MinimaxOpponent`` -- eps 0, read off the minimax values of the whole game.
 * ``EpsilonMinimaxOpponent(eps)`` -- any eps in [0, 1].
 
-Models are frozen values, shared across episode workers.  The rule sees only
+Models are frozen, hashable values.  The rule sees only
 which of a board's empty cells are best replies: 61 patterns among the 2097
 boards O can move on, 4 for eps 1 (only their number).  ``_patterns`` numbers
 them in one walk of those boards, so the rule runs once per pattern:

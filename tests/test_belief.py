@@ -179,7 +179,28 @@ def test_predict_empty_support_is_an_error():
         predict({s: 1.0}, 1, UNIFORM)  # cell 1 occupied in every state
 
 
+@pytest.mark.parametrize("index", [1, 2, board(X, X, X, O, O, E, E, E, E)], ids=["O-to-move", "unreachable", "terminal"])
+def test_predict_rejects_a_board_x_cannot_move_on_in_one_line(index):
+    # each used to fail with a bare KeyError from the move table
+    with pytest.raises(ValueError, match=rf"^board {index} is not a reachable, in-progress board with X to move$"):
+        predict({0: 0.5, index: 0.5}, 4, UNIFORM)
+
+
 # --- update -------------------------------------------------------------------
+
+@pytest.mark.parametrize("index", [-19682, 3**9], ids=["wraps-to-board-1", "past-the-table"])
+def test_update_rejects_a_board_that_is_not_reachable_in_one_line(index):
+    # -19682 used to read board 1's marks and pass; 3**9 raised a bare IndexError
+    obs = WindowShape(1, 1).placements[0].observe(1)
+    with pytest.raises(ValueError, match=rf"^board {index} is not reachable by legal play from the empty board$"):
+        update({index: 1.0}, obs)
+
+
+def test_update_names_the_lowest_board_that_is_not_reachable():
+    obs = WindowShape(1, 1).placements[0].observe(0)
+    with pytest.raises(ValueError, match=r"^board 2 is not reachable by legal play from the empty board$"):
+        update({0: 0.5, 3**9: 0.25, 2: 0.25}, obs)
+
 
 def test_update_is_identity_when_all_states_agree_under_the_window():
     belief = predict(initial_belief(), 4, UNIFORM)

@@ -122,6 +122,14 @@ def test_enumerate_reachable_states_matches_bruteforce():
     assert 0 in reachable
 
 
+def test_enumerate_reachable_states_is_the_records_key_view():
+    # no second copy of the 5478 boards: the set is a view of the one pass's records
+    reachable = enumerate_reachable_states()
+    assert type(reachable) is type({}.keys())
+    assert reachable == reachable_boards().keys()
+    assert not hasattr(enumerate_reachable_states, "cache_info")
+
+
 def test_reachable_states_respect_parity():
     for index in enumerate_reachable_states():
         cells = oracles.cells_of(index)

@@ -3,7 +3,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rbtbench.belief import WindowShape, initial_belief, predict
@@ -11,6 +11,7 @@ from rbtbench.env import EpisodeConfig, decide, run_episodes
 from rbtbench.game import GameStatus, cell_mark, reachable_boards
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import (
+    ARGMAX_TOL,
     MissingQEntryError,
     alt_values,
     argmax_set,
@@ -96,9 +97,20 @@ def test_argmax_set_examples():
     st.floats(min_value=0.1, max_value=10, allow_nan=False),
 )
 def test_argmax_set_invariant_under_shift_and_positive_scale(values, shift, scale):
+    # the tolerance is absolute: a scale in [0.1, 10] or a shift's rounding can carry a gap to the
+    # maximum across it only from inside (ARGMAX_TOL / 20, 20 * ARGMAX_TOL]
+    top = max(values)
+    assume(all(top - v <= ARGMAX_TOL / 20 or top - v > 20 * ARGMAX_TOL for v in values))
     base = argmax_set(values)
     assert argmax_set([v + shift for v in values]) == base
     assert argmax_set([v * scale for v in values]) == base
+
+
+def test_argmax_set_tolerance_is_absolute_so_a_gap_near_it_moves_under_scale_and_shift():
+    values = [0.0] * 8 + [1e-9]
+    assert argmax_set(values) == frozenset(range(9))
+    assert argmax_set([v * 2 for v in values]) == frozenset({8})
+    assert argmax_set([v + 9.05e-11 for v in values]) == frozenset({8})
 
 
 def test_max_belief_states_examples():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from rbtbench.game import O_WINS, cell_mark, enumerate_reachable_states, transitions
+from rbtbench.game import O_WINS, cell_mark, transitions
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent, reply_distribution
 from rbtbench.solver import (
@@ -309,14 +309,6 @@ def test_equal_eps_models_save_equal_bytes(tmp_path):
     negative, positive = EpsilonMinimaxOpponent(-0.0), EpsilonMinimaxOpponent(0.0)
     assert negative == positive and hash(negative) == hash(positive)
     assert saved_text(solve_q(negative), tmp_path / "neg.json") == saved_text(solve_q(positive), tmp_path / "pos.json")
-
-
-def test_saving_a_full_table_does_not_build_the_reachable_state_set(q_uniform, tmp_path):
-    # the one save of a fresh process (the benchmark's set-up) pays for no frozenset of 5478 boards
-    _entry_keys.cache_clear()
-    enumerate_reachable_states.cache_clear()
-    save_qtable(q_uniform, tmp_path / "q.json")
-    assert enumerate_reachable_states.cache_info().currsize == 0
 
 
 def test_save_writes_nan_and_infinities_as_json_does(tmp_path):
