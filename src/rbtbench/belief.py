@@ -41,6 +41,7 @@ class ZeroEvidenceError(ValueError):
 
 @dataclass(frozen=True)
 class WindowShape:
+    """A window of 1 to 3 rows by 1 to 3 columns; its ``placements`` are the positions where it fits."""
     height: int
     width: int
 
@@ -69,6 +70,7 @@ class WindowShape:
 
 @dataclass(frozen=True)
 class WindowPlacement:
+    """A window shape with its top-left cell at (``top``, ``left``); ``observe`` reads a board through it."""
     top: int
     left: int
     shape: WindowShape

@@ -58,6 +58,7 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """What an episode runs with: the window shape, the policy (one of ``POLICIES``) and the seed."""
     shape: WindowShape
     policy: str = MIXTURE
     seed: int = 0
@@ -91,6 +92,7 @@ class StepRecord:
 
 @dataclass(slots=True)
 class EpisodeResult:
+    """One episode: its decision points, its undiscounted return and how it ended."""
     steps: list[StepRecord]
     total_return: float
     outcome: Outcome

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 
 # Cell index of each action, row-major: action k marks cell (k // 3, k % 3).
 Action = int
@@ -40,8 +41,10 @@ LINES = (
 
 _FULL = 0b111111111  # the mask of all nine cells
 _LINE_MASKS = tuple(sum(1 << c for c in line) for line in LINES)
-_HAS_LINE = tuple(any(mask & line == line for line in _LINE_MASKS) for mask in range(512))
-_CELLS = tuple(tuple(c for c in range(9) if mask >> c & 1) for mask in range(512))  # ascending
+# each mask's cells, ascending, by doubling: for mask < 1 << c, those of mask | 1 << c are mask's, then c
+_CELLS = tuple(reduce(lambda cells, c: cells + [before + (c,) for before in cells], range(9), [()]))
+# whether a mask holds a line: whether it is one of a line's supersets, line | mask for some mask
+_HAS_LINE = tuple(map({line | mask for line in _LINE_MASKS for mask in range(512)}.__contains__, range(512)))
 
 
 class GameStatus(Enum):
@@ -120,9 +123,12 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
     """
     boards = reachable_boards()
     in_progress, x_wins, _, _ = GameStatus  # locals, as in the pass
-    states = [i for i, (st, mover, _) in boards.items() if mover == 1 and st is in_progress]
+    by_empties = [[] for _ in range(10)]  # decision states by their number of empty cells
+    for i, (st, mover, cells) in boards.items():
+        if mover == 1 and st is in_progress:
+            by_empties[len(cells)].append(i)
     moves, replies, shared = {}, {}, {}
-    for index in sorted(states, key=lambda i: (len(boards[i][2]), i)):
+    for index in chain.from_iterable(map(sorted, by_empties)):
         ends = [-1.0] * 9
         after_x = {}
         for action in boards[index][2]:
@@ -139,5 +145,6 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
                     st = boards[after_o][0]
                     succ[reply] = after_o if st is in_progress else O_WINS
                 replies[board] = tuple(succ)
-        moves[index] = (shared.setdefault(tuple(ends), tuple(ends)), after_x)
+        ends = tuple(ends)
+        moves[index] = (shared.setdefault(ends, ends), after_x)
     return moves, replies

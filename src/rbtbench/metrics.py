@@ -35,6 +35,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class TimestepAggregate:
+    """Mean IoU and margin at timestep ``t`` over the ``samples`` episodes that reached it."""
     t: int
     mean_iou: float
     mean_margin: float

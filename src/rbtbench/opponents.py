@@ -33,7 +33,6 @@ class TerminalStateError(ValueError):
     """Opponent asked to move on a finished board."""
 
 
-@lru_cache(maxsize=None)
 def game_value() -> dict[int, int]:
     """Minimax value (+1, 0 or -1 for X) of every decision state and after-X board, bottom-up over ``transitions()``.
 
@@ -76,18 +75,21 @@ def _replies(eps: float, best: tuple[bool, ...]) -> list[float]:
 # eps (for _replies) and descriptor (the Q-table header tag) are class constants, not fields
 @dataclass(frozen=True)
 class UniformRandomOpponent:
+    """Every legal reply equally likely: the reply rule with eps 1."""
     eps = 1.0
     descriptor = "uniform"
 
 
 @dataclass(frozen=True)
 class MinimaxOpponent:
+    """The game-theoretic best replies, ties split uniformly: the reply rule with eps 0."""
     eps = 0.0
     descriptor = "minimax"
 
 
 @dataclass(frozen=True)
 class EpsilonMinimaxOpponent:
+    """Uniform with probability ``eps``, minimax otherwise: the reply rule with this eps."""
     eps: float
 
     def __post_init__(self):

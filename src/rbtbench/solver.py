@@ -98,8 +98,8 @@ def save_qtable(q: QTable, path) -> None:
     """
     text = _Memo(lambda value: json.dumps(float(value)), {0.0: "0.0"}).__getitem__
     entries = q.entries
-    order = _entry_keys().values() if entries.keys() == transitions()[0].keys() else sorted(entries, key=str)
-    body = ",".join([f'"{i}":[{",".join(map(text, entries[i]))}]' for i in order])
+    keys = _entry_keys() if entries.keys() == transitions()[0].keys() else {str(i): i for i in sorted(entries, key=str)}
+    body = ",".join([f'"{key}":[{",".join(map(text, entries[i]))}]' for key, i in keys.items()])
     # values are undiscounted; load_qtable accepts no other gamma
     header = json.dumps({"gamma": 1.0, "opponent": q.opponent.descriptor, "version": FORMAT_VERSION},
                         separators=(",", ":"), sort_keys=True)

@@ -3,6 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbtbench.game import (
+    _CELLS,
+    _HAS_LINE,
+    LINES,
     O_WINS,
     GameStatus,
     board_marks,
@@ -85,6 +88,13 @@ def test_the_reachable_pass_records_every_board_with_its_empty_cells():
         assert list(cells) == oracles.empties(oracles.cells_of(index)), index
     marks = [9 - len(cells) for _, _, cells in boards.values()]
     assert marks == sorted(marks)  # boards with fewer marks come first
+
+
+def test_the_mask_tables_hold_every_masks_cells_and_whether_they_hold_a_line():
+    # the tables' definitions, one generator per entry: the reference for the faster builds the pass reads
+    line_masks = [sum(1 << c for c in line) for line in LINES]
+    assert _CELLS == tuple(tuple(c for c in range(9) if mask >> c & 1) for mask in range(512))
+    assert _HAS_LINE == tuple(any(mask & line == line for line in line_masks) for mask in range(512))
 
 
 def test_valid_actions_examples():

@@ -146,21 +146,28 @@ def test_minimax_agrees_with_oracle_reply_sets(model, kind):
         assert reply_distribution(model, index) == tuple(oracles.reply_probs(cells, kind)), index
 
 
-def test_uniform_reply_table_does_not_compute_game_values():
+def counted_game_value(monkeypatch) -> list:
+    """Count calls of ``opponents.game_value`` through the module global, the one its caller reads."""
+    calls = []
+    monkeypatch.setattr(opponents, "game_value", lambda: calls.append(1) or game_value())
+    return calls
+
+
+def test_uniform_reply_table_does_not_compute_game_values(monkeypatch):
     # a uniform-only run must not pay for the minimax values of the whole game
-    game_value.cache_clear()
+    calls = counted_game_value(monkeypatch)
     _patterns.cache_clear()
     _reply_table.__wrapped__(UniformRandomOpponent().eps)
-    assert game_value.cache_info().currsize == 0
+    assert calls == []
 
 
-def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform_table():
+def test_eps_one_reply_table_does_not_compute_game_values_and_equals_the_uniform_table(monkeypatch):
     # eps == 1 groups boards by their empty cells alone for the eps class too, not only for UniformRandomOpponent
     uniform = _reply_table(UniformRandomOpponent().eps)
-    game_value.cache_clear()
+    calls = counted_game_value(monkeypatch)
     _patterns.cache_clear()
     table = _reply_table.__wrapped__(EpsilonMinimaxOpponent(1.0).eps)
-    assert game_value.cache_info().currsize == 0
+    assert calls == []
 
     def hexed(t):
         return [(i, [(c, p.hex()) for c, p in replies]) for i, replies in t.items()]
@@ -205,8 +212,7 @@ def test_the_reply_rule_runs_once_per_pattern_of_best_replies(eps, monkeypatch):
 
 def test_the_minimax_pattern_index_reads_the_game_values_once(monkeypatch):
     # through the module global, which a traced run wraps
-    calls = []
-    monkeypatch.setattr(opponents, "game_value", lambda: calls.append(1) or game_value())
+    calls = counted_game_value(monkeypatch)
     index, patterns = _patterns.__wrapped__(False)
     assert len(calls) == 1
     assert len(index) == 2097 and len(patterns) == 61

@@ -1,5 +1,8 @@
 """The public names of `rbtbench`: an explicit list, so the surface only changes on purpose."""
 
+import dataclasses
+import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -46,3 +49,14 @@ def test_the_source_stays_within_its_line_budget():
     # the shared graph; counted as `wc -l src/rbtbench/*.py` does, newline characters per module
     modules = Path(rbtbench.__file__).parent.glob("*.py")
     assert sum(path.read_bytes().count(b"\n") for path in modules) <= 1800
+
+
+def test_every_dataclass_has_a_written_docstring():
+    # without one, dataclass makes a "Name(field: type, ...)" docstring from inspect.signature at every import
+    undocumented = []
+    for module in pkgutil.iter_modules(rbtbench.__path__, "rbtbench."):
+        for name, value in vars(importlib.import_module(module.name)).items():
+            if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.name:
+                if not value.__doc__ or value.__doc__.startswith(f"{value.__name__}("):
+                    undocumented.append(name)
+    assert undocumented == []
