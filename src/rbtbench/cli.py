@@ -120,14 +120,13 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
 
     Most steps repeat an earlier step's content and differ only in chosen_action,
     episode, reward and t, which sorted keys put around two constant pieces: each
-    content is encoded once and its pieces cached.  iou and margin are keyed by
-    repr, since 0.0 == -0.0 but JSON writes them apart.
+    content is encoded once and its pieces cached, keyed on its observation key
+    and its posterior node's id, which is safe: `results` keeps every node alive.
     """
     pieces: dict[tuple, tuple[str, str]] = {}
     for episode, result in enumerate(results):
         for step in result.steps:
-            key = (step.observation.key, step.a_mix, step.a_max, repr(step.iou), repr(step.margin),
-                   step.belief_support_size, *step.belief, *step.belief.values())
+            key = (step.observation.key, id(step.posterior))
             cut = pieces.get(key)
             if cut is None:
                 line = json.dumps(step_to_json(episode, step), sort_keys=True)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from random import Random
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .belief import (
@@ -76,18 +77,20 @@ class EpisodeConfig:
 
 @dataclass(slots=True)
 class StepRecord:
-    """Everything observed and decided at one agent decision point."""
+    """One decision point: its observation, the posterior ``Node`` it reached, its action and reward."""
 
     t: int
     observation: Observation
-    belief: Belief
-    belief_support_size: int
-    a_mix: ActionSet
-    a_max: ActionSet
-    iou: float
-    margin: float
+    posterior: Node
     chosen_action: Action
     reward: float
+
+    belief = property(lambda self: MappingProxyType(self.posterior.belief))
+    belief_support_size = property(lambda self: len(self.posterior.belief))
+    a_mix = property(lambda self: self.posterior.decision.a_mix)
+    a_max = property(lambda self: self.posterior.decision.a_max)
+    iou = property(lambda self: self.posterior.decision.iou)
+    margin = property(lambda self: self.posterior.decision.margin)
 
 
 @dataclass(slots=True)
@@ -127,17 +130,17 @@ class Decision(NamedTuple):
     max_choices: tuple[Action, ...]  # sorted(a_max)
 
 
-@dataclass(slots=True, eq=False, repr=False)
+@dataclass(slots=True)
 class Node:
     """One belief in one role in ``QTable._graph``: a prior (``decision`` None) or a posterior.
 
     A prior's ``edges`` map an observation key to ``(Observation, posterior)``, a posterior's map an action
     to the prior predicted with ``q.opponent``: each edge runs prior(t) → posterior(t) → prior(t+1), so the
-    graph holds no cycle and is freed with its table.  A belief is only ever copied out.
+    graph holds no cycle and is freed with its table.  Nodes compare by belief and decision, never by edges.
     """
 
     belief: Belief
-    edges: dict
+    edges: dict = field(compare=False, repr=False)
     decision: Decision | None
 
 
@@ -193,13 +196,12 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             obs = placement.observe(board)
             edge = node.edges[obs.key] = (obs, _node(update(node.belief, obs), q, True))
         obs, node = edge
-        belief, decision = node.belief, node.decision
         true_states.append(board)
 
         if config.policy == MIXTURE:
-            action = rng.choice(decision.mix_choices)
+            action = rng.choice(node.decision.mix_choices)
         elif config.policy == MAXBELIEF:
-            action = rng.choice(decision.max_choices)
+            action = rng.choice(node.decision.max_choices)
         else:
             action = rng.randrange(9)
 
@@ -212,14 +214,12 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
             board = replies[board][_sample_reply(q.opponent, board, rng)]
             reward, outcome = (-1.0, Outcome.LOSS) if board == O_WINS else (0.0, None)
 
-        # positional, in field order; the cached posterior stays private, so a step gets a copy
-        steps.append(StepRecord(t, obs, dict(belief), len(belief), decision.a_mix, decision.a_max,
-                                decision.iou, decision.margin, action, reward))
+        steps.append(StepRecord(t, obs, node, action, reward))  # positional, in field order
         if outcome is not None:
             return EpisodeResult(steps, reward, outcome, true_states)
         prior = node.edges.get(action)
         if prior is None:
-            prior = node.edges[action] = _node(predict(belief, action, q.opponent), q, False)
+            prior = node.edges[action] = _node(predict(node.belief, action, q.opponent), q, False)
         node = prior
 
     raise AssertionError("episode failed to terminate within five agent moves")

@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import io
 import json
@@ -6,6 +5,7 @@ import math
 import os
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -93,17 +93,19 @@ def observation_from_json(o: dict) -> Observation:
     return Observation(placement=placement, seen=oracles.window_seen(placement.cells, o["contents"]))
 
 
+def posterior_node(belief: dict, a_mix: frozenset, a_max: frozenset, iou: float, margin: float) -> env.Node:
+    """A posterior node built by hand, as the belief graph holds one."""
+    decision = env.Decision(a_mix, a_max, iou, margin, tuple(sorted(a_mix)), tuple(sorted(a_max)))
+    return env.Node(belief, {}, decision)
+
+
 def step_from_json(obj: dict) -> tuple[int, StepRecord]:
     """One trace line back to its episode number and step; the package reads no traces."""
     step = StepRecord(
         t=obj["t"],
         observation=observation_from_json(obj["observation"]),
-        belief={int(s): p for s, p in obj["belief"].items()},
-        belief_support_size=obj["belief_support_size"],
-        a_mix=frozenset(obj["a_mix"]),
-        a_max=frozenset(obj["a_max"]),
-        iou=obj["iou"],
-        margin=obj["margin"],
+        posterior=posterior_node({int(s): p for s, p in obj["belief"].items()}, frozenset(obj["a_mix"]),
+                                 frozenset(obj["a_max"]), obj["iou"], obj["margin"]),
         chosen_action=obj["chosen_action"],
         reward=obj["reward"],
     )
@@ -150,6 +152,18 @@ def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
     assert len(contents) < len(lines) / 2
 
 
+def test_trace_encodes_each_observation_and_posterior_once(q_uniform, monkeypatch):
+    results = run_episodes(EpisodeConfig(shape=WindowShape(1, 1), seed=5), q_uniform, 300)
+    encoded = []
+    original = cli.step_to_json
+    monkeypatch.setattr(cli, "step_to_json", lambda episode, step: encoded.append(step) or original(episode, step))
+    lines = trace_lines(results)
+    pairs = [(step.observation.key, id(step.posterior)) for step in encoded]
+    assert len(set(pairs)) == len(pairs)  # no pair encoded twice
+    assert set(pairs) == {(step.observation.key, id(step.posterior)) for r in results for step in r.steps}
+    assert len(pairs) < len(lines) / 2
+
+
 def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
     runs = [run_episodes(EpisodeConfig(shape=WindowShape(2, 2), seed=1), q, 40)
             for q in (q_uniform, q_minimax)]
@@ -157,16 +171,15 @@ def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
     assert trace_lines(mixed) == reference_lines(mixed)
 
 
-def one_cell_step() -> StepRecord:
+def one_cell_step(p: float = 1.0, margin: float = 0.0) -> StepRecord:
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=1, width=1))
-    return StepRecord(t=0, observation=Observation(placement=placement, seen=0), belief={0: 1.0},
-                      belief_support_size=1, a_mix=frozenset({4}), a_max=frozenset({4}), iou=1.0, margin=0.0,
+    return StepRecord(t=0, observation=Observation(placement=placement, seen=0),
+                      posterior=posterior_node({0: p}, frozenset({4}), frozenset({4}), 1.0, margin),
                       chosen_action=4, reward=0.0)
 
 
 def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
-    step = one_cell_step()
-    results = [EpisodeResult(steps=[step, dataclasses.replace(step, margin=-0.0)], total_return=0.0,
+    results = [EpisodeResult(steps=[one_cell_step(), one_cell_step(margin=-0.0)], total_return=0.0,
                              outcome=Outcome.DRAW)]
     lines = trace_lines(results)
     assert lines == reference_lines(results)
@@ -174,11 +187,9 @@ def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
 
 
 def test_trace_memo_writes_an_int_probability_as_step_to_json_does():
-    # 1 == 1.0 and both hash alike, so the two steps share one memo entry
-    step = one_cell_step()
+    # 1 == 1.0 and both hash alike, so a memo keyed on the belief's values would share one entry between them
     for first, second in ((1.0, 1), (1, 1.0)):
-        results = [EpisodeResult(steps=[dataclasses.replace(step, belief={0: first}),
-                                        dataclasses.replace(step, belief={0: second})],
+        results = [EpisodeResult(steps=[one_cell_step(first), one_cell_step(second)],
                                  total_return=0.0, outcome=Outcome.DRAW)]
         lines = trace_lines(results)
         assert lines == reference_lines(results)
@@ -552,7 +563,7 @@ def test_run_out_puts_its_row_on_a_line_of_its_own(before, q_uniform_path, tmp_p
 
 
 def test_qtable_with_missing_and_extra_states_fails_before_any_episode(q_uniform_path, tmp_path, capsys):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     del payload["entries"]["45"]
     payload["entries"]["99999"] = [0.0] * 9
     bad = tmp_path / "bad.json"
@@ -582,7 +593,7 @@ def test_qtable_whose_entries_are_not_an_object_fails_in_one_line(tmp_path, caps
 
 
 def test_qtable_with_a_non_numeric_value_fails_in_one_line(q_uniform_path, tmp_path, capsys):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["0"][4] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -601,7 +612,7 @@ def test_qtable_with_a_non_numeric_value_fails_in_one_line(q_uniform_path, tmp_p
 ])
 def test_qtable_that_int_and_float_would_misread_fails_in_one_line(edit, message, q_uniform_path, tmp_path,
                                                                     capsys):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     edit(payload["entries"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -631,7 +642,7 @@ MISSING = object()
     pytest.param("version", True, "expected version 1", id="version-boolean"),
 ])
 def test_qtable_with_a_bad_header_fails_in_one_line(field, value, message, q_uniform_path, tmp_path, capsys):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     if value is MISSING:
         del payload[field]
     else:

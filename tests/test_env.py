@@ -108,8 +108,7 @@ def test_run_episodes_builds_each_config_through_its_checks(monkeypatch, q_unifo
 
 def test_run_episode_builds_its_records_in_field_order():
     # run_episode passes both records' fields by position; a reordered field would land in the wrong slot
-    assert [f.name for f in fields(StepRecord)] == ["t", "observation", "belief", "belief_support_size", "a_mix",
-                                                    "a_max", "iou", "margin", "chosen_action", "reward"]
+    assert [f.name for f in fields(StepRecord)] == ["t", "observation", "posterior", "chosen_action", "reward"]
     assert [f.name for f in fields(EpisodeResult)] == ["steps", "total_return", "outcome", "true_states"]
 
 
@@ -286,17 +285,27 @@ def test_tables_never_share_cached_decisions(q_uniform, q_minimax):
     assert [s.a_mix for r in by_uniform for s in r.steps] != [s.a_mix for r in by_minimax for s in r.steps]
 
 
-def test_mutating_a_step_belief_does_not_change_a_later_run(q_uniform):
+def test_a_step_belief_is_read_only(q_uniform):
+    # a step shares its posterior's belief with the graph, so writing it would change later runs
     q = fresh_copy(q_uniform)
     config = EpisodeConfig(shape=WindowShape(2, 1), seed=60)
     want = run_episodes(config, fresh_copy(q_uniform), 100)
-    first = run_episodes(config, q, 100)
-    beliefs = [s.belief for r in first for s in r.steps]
-    assert len({id(b) for b in beliefs}) == len(beliefs)  # a fresh dict per step
-    for belief in beliefs:
-        belief.clear()
-        belief[0] = 0.5
+    for result in run_episodes(config, q, 100):
+        for step in result.steps:
+            with pytest.raises(TypeError):
+                step.belief[0] = 0.5
     assert run_episodes(config, q, 100) == want
+
+
+def test_every_step_holds_its_posterior_node_from_the_graph(q_uniform):
+    q = fresh_copy(q_uniform)
+    for h, w in ((1, 1), (2, 1), (3, 3)):
+        for result in run_episodes(EpisodeConfig(shape=WindowShape(h, w), seed=1500), q, 200):
+            for step in result.steps:
+                b = step.belief
+                assert step.posterior is q._graph[(True, *b, *b.values())]
+                assert (step.a_mix, step.a_max, step.iou, step.margin) == step.posterior.decision[:4]
+                assert step.belief_support_size == len(b)
 
 
 def test_decide_is_pure(q_uniform):

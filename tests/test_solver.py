@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_load_rejects_out_of_range_value(tmp_path):
 def test_load_rejects_non_finite_values(q_uniform_path, tmp_path, value):
     # json reads NaN, Infinity and -Infinity; NaN fails every comparison,
     # so the range check must reject it along with the infinities
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["0"][4] = value
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
@@ -150,7 +151,7 @@ def test_load_rejects_non_finite_values(q_uniform_path, tmp_path, value):
 
 @pytest.mark.parametrize("position", [0, 8])
 def test_load_rejects_nan_first_and_last_in_a_row(q_uniform_path, tmp_path, position):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["45"][position] = math.nan
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
@@ -161,7 +162,7 @@ def test_load_rejects_nan_first_and_last_in_a_row(q_uniform_path, tmp_path, posi
 @pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5], {"v": 0.5}])
 def test_load_accepts_only_json_numbers(q_uniform_path, tmp_path, value):
     # float() would read "0.5" as 0.5 and true as 1.0
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["45"][4] = value
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
@@ -173,7 +174,7 @@ def test_load_accepts_only_json_numbers(q_uniform_path, tmp_path, value):
 def test_load_rejects_a_row_that_is_not_nine_values(q_uniform_path, tmp_path, row):
     # len() fails on the first and third; the string and the object have
     # nine items, so only the type check rejects them
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["45"] = row
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
@@ -182,7 +183,7 @@ def test_load_rejects_a_row_that_is_not_nine_values(q_uniform_path, tmp_path, ro
 
 
 def test_load_reports_a_type_fault_before_a_range_fault_in_an_earlier_row(q_uniform_path, tmp_path):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     keys = list(payload["entries"])
     first, last = keys[0], keys[-1]
     payload["entries"][first][0] = 1.5
@@ -209,7 +210,7 @@ def test_load_reads_json_integers_as_floats(q_uniform, tmp_path):
 @pytest.mark.parametrize("key", ["00", "045", "+45", "-0", " 45", "45 ", "4_5", "\u0664\u0665", "None", "abc"])
 def test_load_rejects_an_entry_key_that_save_qtable_never_writes(q_uniform_path, tmp_path, key):
     # int() reads all but the last two of these keys as a board index
-    text = open(q_uniform_path, encoding="utf-8").read()
+    text = Path(q_uniform_path).read_text(encoding="utf-8")
     path = tmp_path / "q.json"
     path.write_text(text.replace('"45":', f'"{key}":', 1))
     assert '"45":' not in path.read_text()
@@ -225,7 +226,7 @@ def test_load_makes_one_float_object_per_distinct_value(q_uniform_path):
 
 def test_load_ignores_an_out_of_range_float_in_a_header_key(q_uniform, q_uniform_path, tmp_path):
     # a float outside [-1, 1] that sits in no row makes the range check scan the rows, and they pass
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["note"] = 5.0
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
@@ -234,7 +235,7 @@ def test_load_ignores_an_out_of_range_float_in_a_header_key(q_uniform, q_uniform
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_load_names_the_first_row_with_a_non_finite_value(q_uniform_path, tmp_path, value):
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     keys = list(payload["entries"])
     for key in (keys[-1], keys[100]):
         payload["entries"][key][2] = value
@@ -246,7 +247,7 @@ def test_load_names_the_first_row_with_a_non_finite_value(q_uniform_path, tmp_pa
 
 def test_load_rejects_an_int_outside_the_range(q_uniform_path, tmp_path):
     # every float in the file is in range, so only the int makes the range check fail
-    payload = json.loads(open(q_uniform_path, encoding="utf-8").read())
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     payload["entries"]["45"][4] = 2
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
