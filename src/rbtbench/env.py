@@ -16,8 +16,8 @@ belief and role: a prior, or a posterior with its decision.  A step reads the
 observation key off the true board's marks (``Observation.key`` is
 ``marks & mask | tag``) and walks the prior's edge to its posterior, then the
 posterior's edge for its action to the next prior.  Only a new edge runs the
-filter (``update`` or ``predict``), and only a new posterior runs ``decide``.
-The cache changes no result: a cold and a warm table give equal episodes.
+filter (``predict``, or ``update`` unless the window covers the board), and
+only a new posterior runs ``decide``.  Cold and warm tables give equal episodes.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ def decide(belief: Belief, q: QTable) -> Decision:
     return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices)
 
 
+_WHOLE_BOARD = (1 << 18) - 1  # the mask of a placement that covers all nine cells
 # How X's action ends an episode, keyed on its reward in ``ends``; O's reply ends one only by winning.
 _ENDED_BY_X = {-1.0: Outcome.INVALID_MOVE, 1.0: Outcome.WIN, 0.0: Outcome.DRAW}
 
@@ -194,7 +195,9 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         edge = node.edges.get(marks[board] & placement.mask | placement.tag)  # the key of the board's observation
         if edge is None:
             obs = placement.observe(board)
-            edge = node.edges[obs.key] = (obs, _node(update(node.belief, obs), q, True))
+            # a read of all nine cells names one board, the true one, which the prior holds: update gives p / p
+            belief = {board: 1.0} if placement.mask == _WHOLE_BOARD else update(node.belief, obs)
+            edge = node.edges[obs.key] = (obs, _node(belief, q, True))
         obs, node = edge
         true_states.append(board)
 

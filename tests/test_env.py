@@ -31,7 +31,7 @@ from rbtbench.opponents import (
     reply_distribution,
 )
 from rbtbench.policy import alt_values, argmax_set, mean_value, mixture_values
-from rbtbench.solver import QTable
+from rbtbench.solver import QTable, solve_q
 
 import oracles
 
@@ -181,6 +181,23 @@ def test_full_observability_collapses_to_the_truth(q_uniform):
         for step, true_state in zip(result.steps, result.true_states):
             assert step.belief == {true_state: 1.0}
             assert step.a_mix == step.a_max
+
+
+def test_a_full_window_posterior_is_what_the_filter_gives(monkeypatch, q_uniform, q_minimax):
+    # a new 3x3 posterior edge takes {board: 1.0} and calls no update; update gives the same on every edge
+    calls = []
+    monkeypatch.setattr(env, "update", lambda *args: calls.append(args) or update(*args))
+    checked = []
+    for table in (q_uniform, q_minimax, solve_q(EpsilonMinimaxOpponent(0.5))):
+        q = fresh_copy(table)
+        run_episodes(EpisodeConfig(shape=WindowShape(3, 3), seed=4242), q, 2000)
+        priors = [node for node in q._graph.values() if node.decision is None]
+        for prior in priors:
+            for obs, posterior in prior.edges.values():
+                assert update(prior.belief, obs) == posterior.belief
+        checked.append(sum(len(prior.edges) for prior in priors))
+    assert calls == []
+    assert checked == [1152, 607, 1241]  # the edges of three graphs, each built by its own table
 
 
 def test_policies_coincide_under_full_observability(q_uniform):

@@ -7,11 +7,12 @@ or lose its spans.  The tracer file is loaded by path and not modified.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from rbtbench import game, opponents, solver
+from rbtbench import cli, game, opponents, solver
 from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent, UniformRandomOpponent
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -69,3 +70,33 @@ def test_a_bad_header_fails_before_the_traced_call(monkeypatch, tmp_path):
     with pytest.raises(solver.FormatVersionMismatchError):
         solver.load_qtable(path)
     assert calls == []
+
+
+def test_every_traced_binding_is_still_called(monkeypatch, tmp_path):
+    # a binding that nothing calls any more reads 0 in its per-layer numbers, with no error; solver's
+    # reply_distribution is bound only for the tracer's solver span, so it is left out
+    sites = [(module, attr) for module, attr, _span in load_tracer().CALL_SITES
+             if (module, attr) != ("solver", "reply_distribution")]
+    calls = Counter()
+
+    def counting(site, fn):
+        def counted(*args, **kwargs):
+            calls[site] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attr in sites:
+        owner = importlib.import_module(f"rbtbench.{module}")
+        monkeypatch.setattr(owner, attr, counting((module, attr), getattr(owner, attr)))
+    for module in (game, solver, opponents):  # so the once-a-process builds, game_value's among them, run again
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+    minimax, uniform = str(tmp_path / "minimax.json"), str(tmp_path / "uniform.json")
+    assert cli.main(["solve", "--opponent", "minimax", "--out", minimax]) == 0
+    assert cli.main(["solve", "--opponent", "uniform", "--out", uniform]) == 0
+    assert cli.main(["sweep", "--q", uniform, "--windows", "1x1,2x1", "--episodes", "50",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["run", "--q", uniform, "--window", "3x3", "--episodes", "50",
+                     "--trace", str(tmp_path / "trace.jsonl")]) == 0
+    assert [site for site in sites if not calls[site]] == []
