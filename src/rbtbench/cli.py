@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
 from .belief import WindowShape
@@ -68,27 +68,17 @@ def sweep_row_line(row: SweepRow) -> str:
     )
 
 
-def write_returns_csv(path: str, rows: Sequence[SweepRow], append: bool = False) -> None:
-    """Write the header and `rows`; with `append`, add `rows` to a file that exists and is not empty instead."""
-    mode, lead = "w", RETURNS_HEADER + "\n"
+def write_csv(path: str, header: str, lines: Iterable[str], append: bool = False) -> None:
+    """Write `header` and `lines`; with `append`, add `lines` to a file that exists and is not empty instead."""
+    mode, lead = "w", header + "\n"
     if append and os.path.exists(path) and os.path.getsize(path):
         with open(path, "rb") as fh:
             fh.seek(-1, os.SEEK_END)
             mode, lead = "a", "" if fh.read(1) == b"\n" else "\n"  # a row never joins an unfinished line
     with open(path, mode, encoding="utf-8") as fh:
         fh.write(lead)
-        for row in rows:
-            fh.write(sweep_row_line(row) + "\n")
-
-
-def write_timestep_csv(path: str, rows: Sequence[tuple]) -> None:
-    """Rows are (window_label, policy_pair, TimestepAggregate)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TIMESTEP_HEADER + "\n")
-        for window, pair, agg in rows:
-            fh.write(
-                f"{window},{pair},{agg.t},{_fmt(agg.mean_iou)},{_fmt(agg.mean_margin)},{agg.samples}\n"
-            )
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # --- step-trace JSONL -------------------------------------------------------
@@ -120,8 +110,9 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
 
     Most steps repeat an earlier step's content and differ only in chosen_action,
     episode, reward and t, which sorted keys put around two constant pieces: each
-    content is encoded once and its pieces cached, keyed on its observation key
-    and its posterior node's id, which is safe: `results` keeps every node alive.
+    content is encoded once, its pieces cached under its observation key and its
+    posterior node's id (safe: `results` keeps every node alive), and every line,
+    the first included, is spliced from them.
     """
     pieces: dict[tuple, tuple[str, str]] = {}
     for episode, result in enumerate(results):
@@ -130,11 +121,9 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
             cut = pieces.get(key)
             if cut is None:
                 line = json.dumps(step_to_json(episode, step), sort_keys=True)
-                fh.write(line + "\n")
-                pieces[key] = (line[:line.rindex('"chosen_action": ') + 17],  # rindex: skip the belief
-                               line[line.rindex(', "iou": '):line.rindex('"reward": ') + 10])
-            else:
-                fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{step.reward!r}, "t": {step.t}}}\n')
+                cut = pieces[key] = (line[:line.rindex('"chosen_action": ') + 17],  # rindex: skip the belief
+                                     line[line.rindex(', "iou": '):line.rindex('"reward": ') + 10])
+            fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{step.reward!r}, "t": {step.t}}}\n')
 
 
 # --- SVG chart --------------------------------------------------------------
@@ -333,7 +322,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
     if args.out:
-        write_returns_csv(args.out, [row], append=True)
+        write_csv(args.out, RETURNS_HEADER, [sweep_row_line(row)], append=True)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(fh, results)
@@ -368,18 +357,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:  # say, a parent that cannot be written
         raise ValueError(f"--out-dir: {args.out_dir!r}: {exc.strerror}") from None
     rows: list[SweepRow] = []
-    timestep_rows: list[tuple] = []
+    timestep_lines: list[str] = []
     for shape in shapes:
         for policy in (MIXTURE, MAXBELIEF):
             row, results = _run_cell(q, shape, policy, args.episodes, args.seed)
             rows.append(row)
             if policy == MIXTURE:
-                for agg in aggregate_by_timestep(results):
-                    timestep_rows.append((shape.label, POLICY_PAIR, agg))
+                timestep_lines += (f"{shape.label},{POLICY_PAIR},{agg.t},{_fmt(agg.mean_iou)},{_fmt(agg.mean_margin)},"
+                                   f"{agg.samples}" for agg in aggregate_by_timestep(results))
             print(sweep_row_line(row))
     returns_path, timestep_path, svg_path, manifest_path = outputs
-    write_returns_csv(returns_path, rows)
-    write_timestep_csv(timestep_path, timestep_rows)
+    write_csv(returns_path, RETURNS_HEADER, map(sweep_row_line, rows))
+    write_csv(timestep_path, TIMESTEP_HEADER, timestep_lines)
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(render_returns_svg(rows))
     manifest = {  # everything needed to reproduce the sweep bit for bit

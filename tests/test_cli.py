@@ -562,6 +562,20 @@ def test_run_out_puts_its_row_on_a_line_of_its_own(before, q_uniform_path, tmp_p
     assert csv.read_text() == before.rstrip("\n") + "\n" + row + "\n"
 
 
+def test_run_out_appends_its_row_to_the_returns_a_sweep_wrote(q_uniform_path, tmp_path, capsys):
+    assert run_cli("sweep", "--q", q_uniform_path, "--windows", "1x1,2x1", "--episodes", "5", "--seed", "3",
+                   "--out-dir", str(tmp_path)) == 0
+    csv = tmp_path / "returns.csv"
+    swept = csv.read_text().splitlines()
+    capsys.readouterr()
+    assert run_cli("run", "--q", q_uniform_path, "--window", "3x1", "--episodes", "5", "--seed", "3",
+                   "--out", str(csv)) == 0
+    _, row = capsys.readouterr().out.splitlines()
+    lines = csv.read_text().splitlines()
+    assert lines == swept + [row]
+    assert lines.count("window,policy,episodes,mean_return,ci95") == 1 and lines[-1].startswith("3x1,mixture,5,")
+
+
 def test_qtable_with_missing_and_extra_states_fails_before_any_episode(q_uniform_path, tmp_path, capsys):
     payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
     del payload["entries"]["45"]

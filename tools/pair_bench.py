@@ -45,9 +45,10 @@ def fmt(value: float) -> str:
     """Four significant digits, thousands separated from 1000 up."""
     if value == 0 or not math.isfinite(value):
         return str(value)
-    if abs(value) >= 1000:
+    exponent = int(f"{value:.3e}".split("e")[1])  # of the value rounded to four digits: 999.95 is 1.000e+03
+    if exponent >= 3:
         return f"{value:,.0f}"
-    return f"{value:.{max(0, 3 - math.floor(math.log10(abs(value))))}f}"
+    return f"{value:.{max(0, 3 - exponent)}f}"
 
 
 def quartiles(values: list[float]) -> str:
