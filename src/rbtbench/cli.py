@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Iterable, Optional, Sequence, TextIO
 
 from . import __version__
-from .belief import WindowShape
+from .belief import Observation, WindowShape
 from .env import (
     MAXBELIEF,
     MIXTURE,
     POLICIES,
     EpisodeConfig,
     EpisodeResult,
+    Node,
     StepRecord,
     run_episodes,
 )
@@ -105,14 +108,29 @@ def step_to_json(episode: int, step: StepRecord) -> dict:
     }
 
 
+def _number(value) -> str:
+    """`value` as ``json.dumps`` writes it: repr for an int or a finite float, else NaN, ±Infinity, true or false."""
+    return repr(value) if type(value) is not bool and -math.inf < value < math.inf else json.dumps(value)
+
+
+def trace_pieces(observation: Observation, posterior: Node) -> tuple[str, str]:
+    """A step's trace line up to chosen_action's value and from iou to reward's, in sorted-key order."""
+    decision, pl, belief = posterior.decision, observation.placement, posterior.belief
+    masses = ", ".join([f'"{s}": {_number(float(p))}' for s, p in sorted([(str(s), p) for s, p in belief.items()])])
+    # a list of ints formats as JSON writes it, "[0, 4]"
+    return (f'{{"a_max": {sorted(decision.a_max)}, "a_mix": {sorted(decision.a_mix)}, "belief": {{{masses}}}, '
+            f'"belief_support_size": {len(belief)}, "chosen_action": ',
+            f', "iou": {_number(decision.iou)}, "margin": {_number(decision.margin)}, "observation": {{"contents": '
+            f'{list(observation.contents)}, "height": {pl.shape.height}, "left": {pl.left}, "top": {pl.top}, '
+            f'"width": {pl.shape.width}}}, "reward": ')
+
+
 def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
     """One line per step, equal to ``json.dumps(step_to_json(episode, step), sort_keys=True)``.
 
-    Most steps repeat an earlier step's content and differ only in chosen_action,
-    episode, reward and t, which sorted keys put around two constant pieces: each
-    content is encoded once, its pieces cached under its observation key and its
-    posterior node's id (safe: `results` keeps every node alive), and every line,
-    the first included, is spliced from them.
+    Sorted keys put a step's chosen_action, episode, reward and t around two pieces that its content fixes:
+    each content's ``trace_pieces`` are formatted once, cached under its observation key and its posterior
+    node's id (safe: `results` keeps every node alive), and every line is spliced from them.
     """
     pieces: dict[tuple, tuple[str, str]] = {}
     for episode, result in enumerate(results):
@@ -120,9 +138,7 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
             key = (step.observation.key, id(step.posterior))
             cut = pieces.get(key)
             if cut is None:
-                line = json.dumps(step_to_json(episode, step), sort_keys=True)
-                cut = pieces[key] = (line[:line.rindex('"chosen_action": ') + 17],  # rindex: skip the belief
-                                     line[line.rindex(', "iou": '):line.rindex('"reward": ') + 10])
+                cut = pieces[key] = trace_pieces(step.observation, step.posterior)
             fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{step.reward!r}, "t": {step.t}}}\n')
 
 
@@ -186,12 +202,8 @@ def render_returns_svg(rows: Sequence[SweepRow]) -> str:
                 out.append(_line(f"{cx - 4:.2f}", yy, f"{cx + 4:.2f}", yy, "#333333", 1.5))
         out.append(_text(f"{group_x + group_w / 2:.2f}", height - bottom + 20, 13, window, "middle"))
     for pi, pol in enumerate(policies):
-        lx = left + plot_w - 130
-        ly = top + 8 + pi * 18
-        out.append(
-            f'<rect x="{lx}" y="{ly}" width="12" height="12" '
-            f'fill="{BAR_COLORS[pol]}"/>'
-        )
+        lx, ly = left + plot_w - 130, top + 8 + pi * 18
+        out.append(f'<rect x="{lx}" y="{ly}" width="12" height="12" fill="{BAR_COLORS[pol]}"/>')
         out.append(_text(lx + 18, ly + 10, 12, pol))
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -218,10 +230,7 @@ def _columns(blocks: list[list[str]]) -> list[str]:
 
 def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[int] = None) -> str:
     pl = step.observation.placement
-    lines = [
-        f"t={step.t}  window {pl.shape.label} at (row {pl.top}, col {pl.left})",
-        "  observed:",
-    ]
+    lines = [f"t={step.t}  window {pl.shape.label} at (row {pl.top}, col {pl.left})", "  observed:"]
     lines.extend("    |" + row + "|" for row in grid_rows(dict(zip(pl.cells, step.observation.contents))))
     n = step.belief_support_size
     lines.append(f"  belief ({n} state{'s' if n != 1 else ''}):")
@@ -237,10 +246,7 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
         + "  A_max={" + ",".join(map(str, sorted(step.a_max))) + "}"
         + f"  iou={step.iou:.3f}  margin={step.margin:.4f}"
     )
-    lines.append(
-        f"  chosen action: {step.chosen_action} "
-        f"(row {step.chosen_action // 3}, col {step.chosen_action % 3})"
-    )
+    lines.append(f"  chosen action: {step.chosen_action} (row {step.chosen_action // 3}, col {step.chosen_action % 3})")
     return "\n".join(lines)
 
 
@@ -260,11 +266,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
     opponent = parse_opponent(args.opponent)
     _check_out_path("--out", args.out)
     q = solve_q(opponent)
-    save_qtable(q, args.out)
+    with _naming("--out", args.out):  # say, a full disk
+        save_qtable(q, args.out)
     print(f"solved {len(q.entries)} states against opponent {args.opponent}")
     print(f"empty-board value: {_fmt(q.state_value(0))}")
     print(f"wrote {args.out}")
     return 0
+
+
+@contextmanager
+def _naming(flag: str, path: str, errors: tuple = (OSError,)):
+    """An error of a type in `errors` raised in the block fails in one line: `flag`, `path` and the reason."""
+    try:
+        yield
+    except errors as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ValueError(f"{flag}: {path!r}: {reason}") from None
 
 
 def _load_q(args: argparse.Namespace, *outputs: tuple[str, Optional[str]]) -> tuple[QTable, str]:
@@ -275,11 +292,8 @@ def _load_q(args: argparse.Namespace, *outputs: tuple[str, Optional[str]]) -> tu
     for out_flag, out in outputs:  # a command must not write over the table it reads
         if out and os.path.realpath(out) == os.path.realpath(path):
             raise ValueError(f"{out_flag}: {out!r} is the Q-table named by {flag}")
-    try:
+    with _naming(flag, path, (OSError, ValueError)):  # one line that names where the path came from
         return load_qtable(path), path
-    except (OSError, ValueError) as exc:  # one line that names where the path came from
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise ValueError(f"{flag}: {path!r}: {reason}") from None
 
 
 def _check_episodes(episodes: int) -> None:
@@ -322,9 +336,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(RETURNS_HEADER)
     print(sweep_row_line(row))
     if args.out:
-        write_csv(args.out, RETURNS_HEADER, [sweep_row_line(row)], append=True)
+        with _naming("--out", args.out):
+            write_csv(args.out, RETURNS_HEADER, [sweep_row_line(row)], append=True)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with _naming("--trace", args.trace), open(args.trace, "w", encoding="utf-8") as fh:
             write_trace(fh, results)
     return 0
 
@@ -352,10 +367,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if os.path.isdir(path):
             raise ValueError(f"--out-dir: {path!r} is a directory")
     q, q_path = _load_q(args, *(("--out-dir", path) for path in outputs))
-    try:
+    with _naming("--out-dir", args.out_dir):  # say, a parent that cannot be written
         os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:  # say, a parent that cannot be written
-        raise ValueError(f"--out-dir: {args.out_dir!r}: {exc.strerror}") from None
     rows: list[SweepRow] = []
     timestep_lines: list[str] = []
     for shape in shapes:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from rbtbench import MinimaxOpponent, QTable, UniformRandomOpponent, save_qtable, solve_q
+from rbtbench import EpsilonMinimaxOpponent, MinimaxOpponent, QTable, UniformRandomOpponent, save_qtable, solve_q
 
 settings.register_profile("deterministic", derandomize=True, max_examples=200)
 settings.load_profile("deterministic")
@@ -15,6 +15,12 @@ def q_uniform():
 @pytest.fixture(scope="session")
 def q_minimax():
     return solve_q(MinimaxOpponent())
+
+
+@pytest.fixture(scope="session")
+def q_eps05():
+    """The eps 0.5 table: uneven beliefs of up to 21 boards."""
+    return solve_q(EpsilonMinimaxOpponent(0.5))
 
 
 @pytest.fixture

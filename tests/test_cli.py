@@ -155,13 +155,36 @@ def test_trace_memo_writes_every_line_as_step_to_json_does(q_uniform):
 def test_trace_encodes_each_observation_and_posterior_once(q_uniform, monkeypatch):
     results = run_episodes(EpisodeConfig(shape=WindowShape(1, 1), seed=5), q_uniform, 300)
     encoded = []
-    original = cli.step_to_json
-    monkeypatch.setattr(cli, "step_to_json", lambda episode, step: encoded.append(step) or original(episode, step))
+    original = cli.trace_pieces
+    monkeypatch.setattr(cli, "trace_pieces", lambda observation, posterior: encoded.append(
+        (observation, posterior)) or original(observation, posterior))
     lines = trace_lines(results)
-    pairs = [(step.observation.key, id(step.posterior)) for step in encoded]
+    pairs = [(observation.key, id(posterior)) for observation, posterior in encoded]
     assert len(set(pairs)) == len(pairs)  # no pair encoded twice
     assert set(pairs) == {(step.observation.key, id(step.posterior)) for r in results for step in r.steps}
     assert len(pairs) < len(lines) / 2
+
+
+TRACE_WINDOWS = (WindowShape(1, 1), WindowShape(2, 1), WindowShape(2, 2), WindowShape(3, 1), WindowShape(3, 2),
+                 WindowShape(3, 3))
+
+
+@pytest.mark.parametrize("table", ["q_uniform", "q_minimax", "q_eps05"])
+def test_trace_lines_are_their_own_sorted_json(table, request):
+    # checked without step_to_json: the line is the sorted-key json.dumps of what it parses to
+    q = request.getfixturevalue(table)
+    for shape in TRACE_WINDOWS:
+        for policy in env.POLICIES:
+            for line in trace_lines(run_episodes(EpisodeConfig(shape=shape, policy=policy, seed=3), q, 20)):
+                assert json.dumps(json.loads(line), sort_keys=True) == line
+
+
+@pytest.mark.parametrize("policy", env.POLICIES)
+@pytest.mark.parametrize("shape", TRACE_WINDOWS, ids=lambda shape: shape.label)
+@pytest.mark.parametrize("table", ["q_uniform", "q_minimax", "q_eps05"])
+def test_trace_writes_every_window_policy_and_table_as_step_to_json_does(table, shape, policy, request):
+    results = run_episodes(EpisodeConfig(shape=shape, policy=policy, seed=7), request.getfixturevalue(table), 25)
+    assert trace_lines(results) == reference_lines(results)
 
 
 def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
@@ -184,6 +207,27 @@ def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
     lines = trace_lines(results)
     assert lines == reference_lines(results)
     assert lines[0] != lines[1] and '"margin": -0.0' in lines[1]
+
+
+def hand_built_step(p=1.0, iou=1.0, margin=0.0) -> StepRecord:
+    placement = WindowPlacement(top=1, left=0, shape=WindowShape(height=2, width=1))
+    belief = {9: p, 10: 0.25, 1480: 0.5}  # "10" sorts before "1480" and "9"
+    return StepRecord(t=1, observation=Observation(placement=placement, seen=1 << 3 | 1 << 15),
+                      posterior=posterior_node(belief, frozenset({8, 0, 4}), frozenset({4}), iou, margin),
+                      chosen_action=4, reward=0.0)
+
+
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0, 1, -3, True, False]
+
+
+@pytest.mark.parametrize("field", ["p", "iou", "margin"])
+@pytest.mark.parametrize("value", ODD_NUMBERS, ids=repr)
+def test_trace_writes_odd_numbers_as_step_to_json_does(field, value):
+    results = [EpisodeResult(steps=[hand_built_step(**{field: value}), hand_built_step()], total_return=0.0,
+                             outcome=Outcome.DRAW)]
+    lines = trace_lines(results)
+    assert lines == reference_lines(results)
+    assert lines[0] != lines[1] or field == "p" and value in (1, True)  # float(p) writes 1 and True as 1.0
 
 
 def test_trace_memo_writes_an_int_probability_as_step_to_json_does():
@@ -450,6 +494,15 @@ def test_sweep_whose_table_fails_to_load_creates_no_out_dir(depth, tmp_path, cap
     assert one_line_error(capsys) == "error: --q: 'nope.json': No such file or directory\n"
     assert capsys.readouterr().out == ""
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, flag", [("run", "--trace"), ("run", "--out"), ("solve", "--out")])
+def test_a_write_that_fails_names_its_flag_and_path(command, flag, q_uniform_path, capsys):
+    # /dev/full opens but refuses every write, so each command does all its work first
+    argv = ["solve"] if command == "solve" else ["run", "--q", q_uniform_path, "--window", "2x1", "--episodes", "5"]
+    assert run_cli(*argv, flag, "/dev/full") == 1
+    assert one_line_error(capsys) == f"error: {flag}: '/dev/full': No space left on device\n"
 
 
 SWEEP_FILES = ("returns.csv", "timestep_metrics.csv", "returns.svg", "manifest.json")

@@ -57,6 +57,9 @@ RUN_TRACES = {
     "maxbelief": "d3bcf19eee3d2593653dfa421381b0d212db74a0e7f7839e1d6162f955776dcf",
     "random": "6b6b565f782c26a9692466bdd6749d4d1a092de60bf1a8866ba3ff3e9500e2f6",
 }
+# run --window 1x1 --policy maxbelief --episodes 200 --seed 42 --trace on the eps:0.5 table: uneven masses,
+# up to 21 boards and keys that sort as text ("10" before "9"); recorded while lines were still json.dumps output
+EPS_TRACE = "96090dfe04ea042d9fab43503221d43e153aef0aa7fc0e79fa2953515a72a9b6"
 # sweep --windows 1x1,2x2 --episodes 200 --seed 42 on the minimax table
 MINIMAX_SWEEP = {
     "returns.csv": "5279e1d7ce1cb6a42e93edb5e844e52990920e63ff24fc9ed227f173236e4337",
@@ -123,6 +126,15 @@ def test_baseline_run_traces_match_pinned_digests(policy, q_uniform_path, tmp_pa
                  "--policy", policy, "--trace", str(trace)]) == 0
     capsys.readouterr()
     assert sha256(trace) == RUN_TRACES[policy]
+
+
+def test_uneven_belief_trace_matches_pinned_digest(q_eps05, tmp_path, capsys):
+    q_path, trace = tmp_path / "eps05.json", tmp_path / "steps.jsonl"
+    save_qtable(q_eps05, q_path)
+    assert main(["run", "--q", str(q_path), "--window", "1x1", "--episodes", "200", "--seed", "42",
+                 "--policy", "maxbelief", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert sha256(trace) == EPS_TRACE
 
 
 @pytest.mark.parametrize("flags", REPLAY)

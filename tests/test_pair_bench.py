@@ -56,3 +56,9 @@ def test_no_percent_when_the_parent_median_is_zero():
     row = pair_bench.table("w", [{"name": "zero", "better": "lower"}], parent, change)[-1]
     assert row == "| w | `zero` | 0.0 [0.0–0.5000] | 0.0 [0.0–0.2500] | 1/3 |"
     assert "%" not in row
+
+
+def test_pass_counts_prints_each_sides_median_number_of_passes():
+    assert pair_bench.pass_counts([71, 71, 100], [85, 85, 116]) == \
+        "untraced passes per run, median: parent 71, change 85"
+    assert pair_bench.pass_counts([60, 61], [70, 80]) == "untraced passes per run, median: parent 60.5, change 75"

@@ -15,8 +15,10 @@ For each end-to-end metric in ``BENCHMARK.json`` it prints one Markdown table
 row: the parent's median with its quartiles, the change's median with its
 quartiles and its difference from the parent's median in percent, and the
 number of pairs in which the change's value was better (lower or higher, as
-``BENCHMARK.json`` says).  Progress goes to standard error.  Standard library
-only.
+``BENCHMARK.json`` says).  Below the table it prints each side's median
+number of untraced passes per run: the harness keeps every operation's time,
+so a side that completes more passes in a run reads a higher ``peak_rss_mb``.
+Progress goes to standard error.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from pathlib import Path
 from bench_json import ROOT, run_workload
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run in ``checkout``: its end-to-end metrics, or an error if it is not correct."""
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, int]:
+    """One untraced perfbench run in ``checkout``: its end-to-end metrics and pass count, or an error if not correct."""
     result = run_workload(workload, seed, 0, checkout)
     if not result["correct"] or result["failed"]:
         problems = "; ".join(dict.fromkeys(result["problems"]))  # a failed check repeats in every pass
         raise SystemExit(f"error: {checkout}: {result['command']}: correct {result['correct']}, "
                          f"failed {result['failed']} of {result['attempted']}: {problems[:500]}")
-    return result["end_to_end"]
+    return result["end_to_end"], len(result["passes"])
 
 
 def fmt(value: float) -> str:
@@ -71,6 +73,12 @@ def table(workload: str, metrics: list[dict], parent: list[dict], change: list[d
     return rows
 
 
+def pass_counts(parent: list[int], change: list[int]) -> str:
+    """Each side's median number of untraced passes per run, the line printed below the table."""
+    return (f"untraced passes per run, median: parent {statistics.median(parent):g}, "
+            f"change {statistics.median(change):g}")
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -85,15 +93,18 @@ def main(argv=None) -> int:
         parser.error(f"{args.parent} has no perfbench/run.py")
     checkouts = {"parent": args.parent, "change": ROOT}
 
-    runs = {"parent": [], "change": []}
+    runs, passes = {"parent": [], "change": []}, {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.seed + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(checkouts[side], args.workload, seed))
+            metrics, count = run_once(checkouts[side], args.workload, seed)
+            runs[side].append(metrics)
+            passes[side].append(count)
         shown = ", ".join(f"{side} {fmt(runs[side][-1]['ops_per_s'])}" for side in order)
         print(f"# pair {k + 1}/{args.pairs}, seed {seed}: ops_per_s {shown}", file=sys.stderr, flush=True)
     print("\n".join(table(args.workload, spec["end_to_end"], runs["parent"], runs["change"])))
+    print(pass_counts(passes["parent"], passes["change"]))
     return 0
 
 
