@@ -10,11 +10,9 @@ a baseline that only acts on the most probable states.
 __version__ = "0.1.0"
 
 from .belief import (
-    EmptySupportError,
     Observation,
     WindowPlacement,
     WindowShape,
-    ZeroEvidenceError,
     initial_belief,
     predict,
     update,
@@ -31,7 +29,6 @@ from .env import (
     run_episodes,
 )
 from .metrics import (
-    InsufficientSamplesError,
     TimestepAggregate,
     aggregate_by_timestep,
     mean_ci95,
@@ -42,12 +39,9 @@ from .opponents import (
     UniformRandomOpponent,
 )
 from .policy import (
-    MissingQEntryError,
     mixture_values,
 )
 from .solver import (
-    CorruptEntryError,
-    FormatVersionMismatchError,
     QTable,
     load_qtable,
     save_qtable,

@@ -31,14 +31,6 @@ from .opponents import OpponentModel, reply_distribution
 Belief = dict[int, float]
 
 
-class EmptySupportError(ValueError):
-    """Conditioning removed every state: the history is impossible under the model."""
-
-
-class ZeroEvidenceError(ValueError):
-    """Observation matches no state in the belief support."""
-
-
 @dataclass(frozen=True)
 class WindowShape:
     """A window of 1 to 3 rows by 1 to 3 columns; its ``placements`` are the positions where it fits."""
@@ -154,9 +146,7 @@ def predict(belief: Belief, agent_action: Action, opponent: OpponentModel) -> Be
             if after_o >= 0:  # the reply did not end the game
                 mass[after_o] = mass.get(after_o, 0.0) + p * rp
     if not mass:
-        raise EmptySupportError(
-            f"no state survives action {agent_action}; environment and filter disagree"
-        )
+        raise ValueError(f"no state survives action {agent_action}; environment and filter disagree")
     return _normalized(mass)
 
 
@@ -167,5 +157,5 @@ def update(belief: Belief, obs: Observation) -> Belief:
         raise ValueError(f"board {min(belief.keys() - boards)} is not reachable by legal play from the empty board")
     mass = {s: p for s, p in belief.items() if marks[s] & mask == seen}
     if not mass:
-        raise ZeroEvidenceError(f"observation {obs} matches no state in the support")
+        raise ValueError(f"observation {obs} matches no state in the support")
     return _normalized(mass)

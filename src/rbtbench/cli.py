@@ -139,7 +139,8 @@ def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
             cut = pieces.get(key)
             if cut is None:
                 cut = pieces[key] = trace_pieces(step.observation, step.posterior)
-            fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{step.reward!r}, "t": {step.t}}}\n')
+            fh.write(f'{cut[0]}{step.chosen_action}, "episode": {episode}{cut[1]}{_number(step.reward)}, '
+                     f'"t": {step.t}}}\n')
 
 
 # --- SVG chart --------------------------------------------------------------

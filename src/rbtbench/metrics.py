@@ -18,10 +18,6 @@ from typing import Iterable, Sequence
 from .policy import ActionSet
 
 
-class InsufficientSamplesError(ValueError):
-    """Confidence interval needs at least two samples."""
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One benchmark cell: mean return of one policy on one window size."""
@@ -51,7 +47,7 @@ def mean_ci95(returns: Sequence[float]) -> tuple[float, float]:
     """Sample mean and normal-approximation 95% half-width (1.96 * sd / sqrt(n))."""
     n = len(returns)
     if n < 2:
-        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
+        raise ValueError(f"need at least 2 samples, got {n}")
     if not all(map(isfinite, returns)):  # else statistics fails on it with an error that names no return
         raise ValueError(f"returns must be finite, got {next(r for r in returns if not isfinite(r))!r}")
     mean = statistics.fmean(returns)

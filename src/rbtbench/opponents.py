@@ -29,10 +29,6 @@ from typing import Union
 from .game import O_WINS, reachable_boards, transitions
 
 
-class TerminalStateError(ValueError):
-    """Opponent asked to move on a finished board."""
-
-
 def game_value() -> dict[int, int]:
     """Minimax value (+1, 0 or -1 for X) of every decision state and after-X board, bottom-up over ``transitions()``.
 
@@ -146,8 +142,8 @@ def _reply_table(eps: float) -> dict[int, tuple[tuple[int, float], ...]]:
 def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, float], ...]:
     """(cell, probability) pairs for a reachable, O-to-move, non-terminal board index, from the model's table.
 
-    Only a board not in the table is checked, to raise ValueError if legal play cannot reach it,
-    TerminalStateError if it is finished and ValueError if X is to move.
+    Only a board not in the table is checked, to raise a ValueError that says whether legal play cannot
+    reach it, it is finished or X is to move.
     """
     try:
         return _reply_table(model.eps)[index]  # a float hashes faster than the model
@@ -156,7 +152,7 @@ def reply_distribution(model: OpponentModel, index: int) -> tuple[tuple[int, flo
     if index not in reachable_boards():
         raise ValueError(f"board {index} is not reachable by legal play from the empty board")
     if index not in transitions()[0]:
-        raise TerminalStateError(f"board {index} is terminal")
+        raise ValueError(f"board {index} is terminal")
     raise ValueError(f"board {index} has X to move; the opponent plays O")
 
 

@@ -25,10 +25,6 @@ ActionValues = list[float]
 ActionSet = frozenset[int]
 
 
-class MissingQEntryError(KeyError):
-    """Belief support contains a state the Q-table does not cover."""
-
-
 def mixture_values(belief: Belief, q: QTable) -> ActionValues:
     """Belief-weighted Q-values: value[a] = sum_s belief(s) * Q(s, a)."""
     v0 = v1 = v2 = v3 = v4 = v5 = v6 = v7 = v8 = 0.0  # one accumulator per action, no list per state
@@ -36,7 +32,7 @@ def mixture_values(belief: Belief, q: QTable) -> ActionValues:
     for state, p in belief.items():
         row = entries.get(state)
         if row is None:
-            raise MissingQEntryError(state)
+            raise ValueError(f"board {state} has no row in the Q-table")
         r0, r1, r2, r3, r4, r5, r6, r7, r8 = row
         v0, v1, v2, v3, v4, v5, v6, v7, v8 = (v0 + p * r0, v1 + p * r1, v2 + p * r2, v3 + p * r3, v4 + p * r4,
                                               v5 + p * r5, v6 + p * r6, v7 + p * r7, v8 + p * r8)

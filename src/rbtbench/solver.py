@@ -27,14 +27,6 @@ from .opponents import reply_distribution  # not called here, but perfbench/trac
 FORMAT_VERSION = 1
 
 
-class FormatVersionMismatchError(ValueError):
-    """Q-table file declares an unsupported format version."""
-
-
-class CorruptEntryError(ValueError):
-    """Q-table entry has the wrong shape or out-of-range values."""
-
-
 @dataclass
 class QTable:
     """Finite map state-index -> nine action values, plus provenance header.
@@ -120,7 +112,7 @@ class _Memo(dict):
 
 
 def load_qtable(path) -> QTable:
-    """Read a Q-table as ``save_qtable`` writes it; a bad file fails with a one-line ``CorruptEntryError``.
+    """Read a Q-table as ``save_qtable`` writes it; a bad file fails with a one-line ``ValueError``.
 
     After the header and the keys, rows are checked for shape (a list of nine), then type (JSON
     numbers), then range ([-1, 1]), each check over all rows before the next; the error names the
@@ -133,28 +125,26 @@ def load_qtable(path) -> QTable:
         try:
             payload = json.load(fh, parse_float=floats.__getitem__, parse_constant=floats.__getitem__)
         except RecursionError:  # say, "[" * 200000
-            raise CorruptEntryError("the JSON nests too deeply for a Q-table file") from None
+            raise ValueError("the JSON nests too deeply for a Q-table file") from None
     if not isinstance(payload, dict):
-        raise CorruptEntryError(f"a Q-table file holds a JSON object, this one holds {_json_type(payload)}")
+        raise ValueError(f"a Q-table file holds a JSON object, this one holds {_json_type(payload)}")
     version = payload.get("version")
     if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1 in Python
-        raise FormatVersionMismatchError(
-            f"expected version {FORMAT_VERSION}, file has {version!r}"
-        )
+        raise ValueError(f"expected version {FORMAT_VERSION}, file has {version!r}")
     if "opponent" not in payload:
-        raise CorruptEntryError('the Q-table header has no "opponent"')
+        raise ValueError('the Q-table header has no "opponent"')
     try:
         opponent = from_descriptor(payload["opponent"])
     except ValueError as exc:
-        raise CorruptEntryError(f'"opponent": {exc}') from None
+        raise ValueError(f'"opponent": {exc}') from None
     gamma = payload.get("gamma")
     if isinstance(gamma, bool) or gamma != 1:  # True == 1 in Python
         got = json.dumps(gamma) if "gamma" in payload else "nothing"
-        raise CorruptEntryError(f'"gamma" must be 1.0 (values are undiscounted), got {got}')
+        raise ValueError(f'"gamma" must be 1.0 (values are undiscounted), got {got}')
     rows = payload.get("entries")
     if not isinstance(rows, dict):
         got = _json_type(rows) if "entries" in payload else "nothing"
-        raise CorruptEntryError(f'"entries" must be a JSON object, got {got}')
+        raise ValueError(f'"entries" must be a JSON object, got {got}')
     enumerate_reachable_states()  # only so that perfbench/tracer.py's span of it holds a fresh process's game pass
     states = _entry_keys()
     if rows.keys() != states.keys():
@@ -179,15 +169,15 @@ def _entry_keys() -> dict[str, int]:
     return {str(i): i for i in sorted(transitions()[0], key=str)}
 
 
-def _key_error(keys) -> CorruptEntryError:
+def _key_error(keys) -> ValueError:
     states = _entry_keys()
     for key in keys:
         # int() also reads a sign, spaces, underscores and leading zeros
         if key not in states and not (key.isdecimal() and str(int(key)) == key):
-            return CorruptEntryError(f"entry key {json.dumps(key)} is not a board index as save_qtable writes it")
+            return ValueError(f"entry key {json.dumps(key)} is not a board index as save_qtable writes it")
     missing = sorted(states[key] for key in states.keys() - keys)
     extra = sorted(map(int, keys - states.keys()))
-    return CorruptEntryError(
+    return ValueError(
         f"Q-table entries must cover exactly the {len(states)} reachable X-to-move states: "
         f"missing {_listed(missing)}, extra {_listed(extra)}"
     )
@@ -198,10 +188,10 @@ def _in_range(values) -> bool:
     return min(values) >= -1.0 and max(values) <= 1.0 and not isnan(sum(values))
 
 
-def _first_bad_row(rows: dict, ok, message: str) -> CorruptEntryError:
+def _first_bad_row(rows: dict, ok, message: str) -> ValueError:
     """The error for the first row in file order that ``ok`` rejects."""
     key = next(key for key, row in rows.items() if not ok(row))
-    return CorruptEntryError(f"state {key}: {message}")
+    return ValueError(f"state {key}: {message}")
 
 
 def _json_type(value) -> str:

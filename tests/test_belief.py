@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbtbench.belief import (
-    EmptySupportError,
     Observation,
     WindowPlacement,
     WindowShape,
-    ZeroEvidenceError,
     initial_belief,
     predict,
     update,
@@ -34,6 +32,11 @@ def board(*cells):
 def read(placement, digits):
     """The observation of `digits` (row-major) through `placement`, built from the oracle's bits."""
     return Observation(placement=placement, seen=oracles.window_seen(placement.cells, digits))
+
+
+def no_match(obs):
+    """``update``'s whole message for an observation that no state in the belief fits, as a regex."""
+    return f"^{re.escape(f'observation {obs} matches no state in the support')}$"
 
 
 def assert_close_beliefs(got, want, tol=1e-9):
@@ -175,7 +178,7 @@ def test_predict_conditions_on_our_move_being_valid():
 
 def test_predict_empty_support_is_an_error():
     s = board(E, O, E, E, X, E, E, E, E)
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(ValueError, match=r"^no state survives action 1; environment and filter disagree$"):
         predict({s: 1.0}, 1, UNIFORM)  # cell 1 occupied in every state
 
 
@@ -228,7 +231,7 @@ def test_full_window_collapses_any_belief():
 def test_update_zero_evidence_is_an_error():
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(1, 1))
     obs = read(placement, (X,))
-    with pytest.raises(ZeroEvidenceError):
+    with pytest.raises(ValueError, match=no_match(obs)):
         update(initial_belief(), obs)
 
 
@@ -326,7 +329,7 @@ def test_update_equals_a_brute_force_filter_on_every_placement(h, w, picks, weig
                 else:
                     obs = placement.observe(true)
                 if not matched:
-                    with pytest.raises(ZeroEvidenceError):
+                    with pytest.raises(ValueError, match=no_match(obs)):
                         update(prior, obs)
                     continue
                 got = update(prior, obs)

@@ -209,18 +209,18 @@ def test_trace_memo_tells_a_zero_margin_from_a_negative_zero_one():
     assert lines[0] != lines[1] and '"margin": -0.0' in lines[1]
 
 
-def hand_built_step(p=1.0, iou=1.0, margin=0.0) -> StepRecord:
+def hand_built_step(p=1.0, iou=1.0, margin=0.0, reward=0.0) -> StepRecord:
     placement = WindowPlacement(top=1, left=0, shape=WindowShape(height=2, width=1))
     belief = {9: p, 10: 0.25, 1480: 0.5}  # "10" sorts before "1480" and "9"
     return StepRecord(t=1, observation=Observation(placement=placement, seen=1 << 3 | 1 << 15),
                       posterior=posterior_node(belief, frozenset({8, 0, 4}), frozenset({4}), iou, margin),
-                      chosen_action=4, reward=0.0)
+                      chosen_action=4, reward=reward)
 
 
 ODD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0, 1, -3, True, False]
 
 
-@pytest.mark.parametrize("field", ["p", "iou", "margin"])
+@pytest.mark.parametrize("field", ["p", "iou", "margin", "reward"])
 @pytest.mark.parametrize("value", ODD_NUMBERS, ids=repr)
 def test_trace_writes_odd_numbers_as_step_to_json_does(field, value):
     results = [EpisodeResult(steps=[hand_built_step(**{field: value}), hand_built_step()], total_return=0.0,

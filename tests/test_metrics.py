@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rbtbench.belief import WindowShape, initial_belief
 from rbtbench.env import EpisodeConfig, decide, run_episodes
 from rbtbench.metrics import (
-    InsufficientSamplesError,
     aggregate_by_timestep,
     iou,
     mean_ci95,
@@ -74,7 +73,7 @@ def test_mean_ci95_translation_invariance():
 
 
 def test_mean_ci95_needs_two_samples():
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(ValueError, match=r"^need at least 2 samples, got 1$"):
         mean_ci95([1.0])
 
 

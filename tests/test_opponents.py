@@ -7,7 +7,6 @@ from rbtbench.game import transitions
 from rbtbench.opponents import (
     EpsilonMinimaxOpponent,
     MinimaxOpponent,
-    TerminalStateError,
     UniformRandomOpponent,
     from_descriptor,
     _patterns,
@@ -118,7 +117,7 @@ def test_an_int_eps_is_stored_as_its_float(eps):
 
 def test_terminal_board_rejected():
     won = board(X, X, X, O, O, E, E, E, E)
-    with pytest.raises(TerminalStateError):
+    with pytest.raises(ValueError, match=rf"^board {won} is terminal$"):
         replies(UniformRandomOpponent(), won)
 
 

@@ -12,7 +12,6 @@ from rbtbench.game import GameStatus, cell_mark, reachable_boards
 from rbtbench.opponents import UniformRandomOpponent
 from rbtbench.policy import (
     ARGMAX_TOL,
-    MissingQEntryError,
     alt_values,
     argmax_set,
     max_belief_states,
@@ -200,7 +199,7 @@ def test_q_values_agree_across_the_mixture_argmax(q_uniform):
 
 
 def test_missing_q_entry_is_reported(q_uniform):
-    with pytest.raises(MissingQEntryError):
+    with pytest.raises(ValueError, match=r"^board 81 has no row in the Q-table$"):
         mixture_values({81: 1.0}, q_uniform)  # O-to-move board: no entry
 
 

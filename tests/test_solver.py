@@ -10,8 +10,6 @@ from rbtbench.game import O_WINS, cell_mark, transitions
 from rbtbench.cli import parse_opponent
 from rbtbench.opponents import EpsilonMinimaxOpponent, reply_distribution
 from rbtbench.solver import (
-    CorruptEntryError,
-    FormatVersionMismatchError,
     QTable,
     _entry_keys,
     load_qtable,
@@ -116,23 +114,26 @@ def test_save_load_round_trip(q_uniform, tmp_path):
 def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"version": 999, "opponent": "uniform", "gamma": 1.0, "entries": {}}))
-    with pytest.raises(FormatVersionMismatchError):
+    with pytest.raises(ValueError, match=r"^expected version 1, file has 999$"):
         load_qtable(path)
 
 
-def test_load_rejects_wrong_action_count(tmp_path):
+def test_load_rejects_wrong_action_count(q_uniform_path, tmp_path):
+    # a whole table with one bad row: a table of that row alone fails the key check first
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
+    payload["entries"]["0"] = [0.0] * 8
     path = tmp_path / "q.json"
-    payload = {"version": 1, "opponent": "uniform", "gamma": 1.0, "entries": {"0": [0.0] * 8}}
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError):
+    with pytest.raises(ValueError, match=r"^state 0: expected 9 action values$"):
         load_qtable(path)
 
 
-def test_load_rejects_out_of_range_value(tmp_path):
+def test_load_rejects_out_of_range_value(q_uniform_path, tmp_path):
+    payload = json.loads(Path(q_uniform_path).read_text(encoding="utf-8"))
+    payload["entries"]["0"][8] = 1.5
     path = tmp_path / "q.json"
-    payload = {"version": 1, "opponent": "uniform", "gamma": 1.0, "entries": {"0": [0.0] * 8 + [1.5]}}
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError):
+    with pytest.raises(ValueError, match=r"^state 0: value outside \[-1, 1\]$"):
         load_qtable(path)
 
 
@@ -145,7 +146,7 @@ def test_load_rejects_non_finite_values(q_uniform_path, tmp_path, value):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
     assert json.dumps(value) in path.read_text()  # NaN, Infinity or -Infinity
-    with pytest.raises(CorruptEntryError, match="state 0: value outside"):
+    with pytest.raises(ValueError, match="state 0: value outside"):
         load_qtable(path)
 
 
@@ -155,7 +156,7 @@ def test_load_rejects_nan_first_and_last_in_a_row(q_uniform_path, tmp_path, posi
     payload["entries"]["45"][position] = math.nan
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError, match="state 45: value outside"):
+    with pytest.raises(ValueError, match="state 45: value outside"):
         load_qtable(path)
 
 
@@ -166,7 +167,7 @@ def test_load_accepts_only_json_numbers(q_uniform_path, tmp_path, value):
     payload["entries"]["45"][4] = value
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError, match="^state 45: action values must be numbers$"):
+    with pytest.raises(ValueError, match="^state 45: action values must be numbers$"):
         load_qtable(path)
 
 
@@ -178,7 +179,7 @@ def test_load_rejects_a_row_that_is_not_nine_values(q_uniform_path, tmp_path, ro
     payload["entries"]["45"] = row
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError, match="^state 45: expected 9 action values$"):
+    with pytest.raises(ValueError, match="^state 45: expected 9 action values$"):
         load_qtable(path)
 
 
@@ -191,7 +192,7 @@ def test_load_reports_a_type_fault_before_a_range_fault_in_an_earlier_row(q_unif
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
     # shape, then type, then range, each over every row: the later row's type fault is named
-    with pytest.raises(CorruptEntryError, match=f"^state {last}: action values must be numbers$"):
+    with pytest.raises(ValueError, match=f"^state {last}: action values must be numbers$"):
         load_qtable(path)
 
 
@@ -214,7 +215,7 @@ def test_load_rejects_an_entry_key_that_save_qtable_never_writes(q_uniform_path,
     path = tmp_path / "q.json"
     path.write_text(text.replace('"45":', f'"{key}":', 1))
     assert '"45":' not in path.read_text()
-    with pytest.raises(CorruptEntryError, match="^entry key .* is not a board index as save_qtable writes it$"):
+    with pytest.raises(ValueError, match="^entry key .* is not a board index as save_qtable writes it$"):
         load_qtable(path)
 
 
@@ -241,7 +242,7 @@ def test_load_names_the_first_row_with_a_non_finite_value(q_uniform_path, tmp_pa
         payload["entries"][key][2] = value
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptEntryError, match=rf"^state {keys[100]}: value outside \[-1, 1\]$"):
+    with pytest.raises(ValueError, match=rf"^state {keys[100]}: value outside \[-1, 1\]$"):
         load_qtable(path)
 
 
@@ -252,7 +253,7 @@ def test_load_rejects_an_int_outside_the_range(q_uniform_path, tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(payload))
     assert '"45": [' in path.read_text() and ", 2, " in path.read_text()
-    with pytest.raises(CorruptEntryError, match=r"^state 45: value outside \[-1, 1\]$"):
+    with pytest.raises(ValueError, match=r"^state 45: value outside \[-1, 1\]$"):
         load_qtable(path)
 
 
@@ -260,7 +261,7 @@ def test_load_rejects_an_int_outside_the_range(q_uniform_path, tmp_path):
 def test_load_fails_in_one_line_on_json_nested_too_deeply(tmp_path, opener):
     path = tmp_path / "q.json"
     path.write_text(opener * 200000)
-    with pytest.raises(CorruptEntryError, match="^the JSON nests too deeply for a Q-table file$"):
+    with pytest.raises(ValueError, match="^the JSON nests too deeply for a Q-table file$"):
         load_qtable(path)
 
 
@@ -420,19 +421,19 @@ def write_entries(path, q, drop=(), add=()):
 def test_load_rejects_a_table_missing_states(q_uniform, tmp_path):
     path = tmp_path / "q.json"
     write_entries(path, q_uniform, drop=(0, 45))
-    with pytest.raises(CorruptEntryError, match=r"missing 2 \(0, 45\), extra none"):
+    with pytest.raises(ValueError, match=r"missing 2 \(0, 45\), extra none"):
         load_qtable(path)
 
 
 def test_load_rejects_a_table_with_extra_states(q_uniform, tmp_path):
     path = tmp_path / "q.json"
     write_entries(path, q_uniform, add=(99999, 1))  # out of range; O to move
-    with pytest.raises(CorruptEntryError, match=r"missing none, extra 2 \(1, 99999\)"):
+    with pytest.raises(ValueError, match=r"missing none, extra 2 \(1, 99999\)"):
         load_qtable(path)
 
 
 def test_load_names_at_most_five_states_per_side(q_uniform, tmp_path):
     path = tmp_path / "q.json"
     write_entries(path, q_uniform, drop=sorted(q_uniform.entries)[:7])
-    with pytest.raises(CorruptEntryError, match=r"missing 7 \((\d+, ){4}\d+, \.\.\.\), extra none"):
+    with pytest.raises(ValueError, match=r"missing 7 \((\d+, ){4}\d+, \.\.\.\), extra none"):
         load_qtable(path)

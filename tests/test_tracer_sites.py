@@ -67,7 +67,7 @@ def test_a_bad_header_fails_before_the_traced_call(monkeypatch, tmp_path):
     monkeypatch.setattr(solver, "enumerate_reachable_states", lambda: calls.append(1))
     path = tmp_path / "q.json"
     path.write_text('{"version": 2}')
-    with pytest.raises(solver.FormatVersionMismatchError):
+    with pytest.raises(ValueError, match=r"^expected version 1, file has 2$"):
         solver.load_qtable(path)
     assert calls == []
 
