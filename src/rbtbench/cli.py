@@ -86,28 +86,6 @@ def write_csv(path: str, header: str, lines: Iterable[str], append: bool = False
 
 # --- step-trace JSONL -------------------------------------------------------
 
-def step_to_json(episode: int, step: StepRecord) -> dict:
-    return {
-        "episode": episode,
-        "t": step.t,
-        "observation": {
-            "top": step.observation.placement.top,
-            "left": step.observation.placement.left,
-            "height": step.observation.placement.shape.height,
-            "width": step.observation.placement.shape.width,
-            "contents": list(step.observation.contents),
-        },
-        "belief": {str(s): float(p) for s, p in step.belief.items()},
-        "belief_support_size": step.belief_support_size,
-        "a_mix": sorted(step.a_mix),
-        "a_max": sorted(step.a_max),
-        "iou": step.iou,
-        "margin": step.margin,
-        "chosen_action": step.chosen_action,
-        "reward": step.reward,
-    }
-
-
 def _number(value) -> str:
     """`value` as ``json.dumps`` writes it: repr for an int or a finite float, else NaN, ±Infinity, true or false."""
     return repr(value) if type(value) is not bool and -math.inf < value < math.inf else json.dumps(value)
@@ -126,7 +104,7 @@ def trace_pieces(observation: Observation, posterior: Node) -> tuple[str, str]:
 
 
 def write_trace(fh: TextIO, results: Sequence[EpisodeResult]) -> None:
-    """One line per step, equal to ``json.dumps(step_to_json(episode, step), sort_keys=True)``.
+    """One line per step: the sorted-key ``json.dumps`` of its episode, t, window, belief and decision fields.
 
     Sorted keys put a step's chosen_action, episode, reward and t around two pieces that its content fixes:
     each content's ``trace_pieces`` are formatted once, cached under its observation key and its posterior

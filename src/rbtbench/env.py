@@ -104,8 +104,17 @@ class EpisodeResult:
 
 
 def sample_window(shape: WindowShape, rng: Random) -> WindowPlacement:
-    """Placement drawn uniformly from all positions where the window fits."""
-    return rng.choice(shape.placements)
+    """Placement drawn uniformly from all positions where the window fits, with the bits ``rng.choice`` draws.
+
+    Written out as ``Random._randbelow`` draws: the same ``getrandbits`` calls, without its two Python frames.
+    """
+    placements = shape.placements
+    n = len(placements)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return placements[r]
 
 
 def _sample_reply(model: OpponentModel, index: int, rng: Random) -> int:
@@ -176,13 +185,17 @@ def decide(belief: Belief, q: QTable) -> Decision:
     return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices)
 
 
+_seed = Random.__bases__[0].seed  # the C seed under Random.seed, whose type dispatch an int seed does not need
+_ACTIONS = tuple(range(9))  # a choice from it draws the bits randrange(9) draws
 _WHOLE_BOARD = (1 << 18) - 1  # the mask of a placement that covers all nine cells
 # How X's action ends an episode, keyed on its reward in ``ends``; O's reply ends one only by winning.
 _ENDED_BY_X = {-1.0: Outcome.INVALID_MOVE, 1.0: Outcome.WIN, 0.0: Outcome.DRAW}
 
 
 def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
-    rng = Random(config.seed)
+    rng = Random.__new__(Random)  # seeded as Random(config.seed) is: EpisodeConfig holds an int of at least 0
+    _seed(rng, config.seed)
+    getrandbits = rng.getrandbits
     board = 0
     moves, replies = transitions()
     marks = board_marks()
@@ -202,11 +215,17 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         true_states.append(board)
 
         if config.policy == MIXTURE:
-            action = rng.choice(node.decision.mix_choices)
+            choices = node.decision.mix_choices
         elif config.policy == MAXBELIEF:
-            action = rng.choice(node.decision.max_choices)
+            choices = node.decision.max_choices
         else:
-            action = rng.randrange(9)
+            choices = _ACTIONS
+        n = len(choices)  # rng.choice(choices), written out as sample_window's draw is
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        action = choices[r]
 
         ends, after_x = moves[board]
         board = after_x.get(action)

@@ -27,7 +27,6 @@ import time
 import pytest
 
 from rbtbench.belief import WindowShape
-from rbtbench.cli import step_to_json
 from rbtbench.env import MAXBELIEF, MIXTURE, EpisodeConfig, run_episodes
 from rbtbench.game import cell_mark
 from rbtbench.metrics import aggregate_by_timestep, mean_ci95
@@ -36,6 +35,7 @@ from rbtbench.policy import ARGMAX_TOL, alt_values, argmax_set, mixture_values
 from rbtbench.solver import solve_q
 
 import oracles
+from trace_reference import step_to_json
 
 WINDOWS = ("1x1", "2x1", "2x2", "3x1", "3x2")
 ALL_SHAPES = tuple(WindowShape(h, w) for h in (1, 2, 3) for w in (1, 2, 3))

@@ -11,12 +11,13 @@ import pytest
 
 from rbtbench import cli, env
 from rbtbench.belief import Observation, WindowPlacement, WindowShape
-from rbtbench.cli import main, step_to_json
+from rbtbench.cli import main
 from rbtbench.env import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episodes
 from rbtbench.opponents import EpsilonMinimaxOpponent, MinimaxOpponent
 from rbtbench.solver import load_qtable
 
 import oracles
+from trace_reference import step_to_json
 
 
 def run_cli(*argv):

@@ -12,6 +12,7 @@ from rbtbench.belief import Observation, WindowPlacement, WindowShape, initial_b
 from rbtbench.env import (
     MAXBELIEF,
     MIXTURE,
+    POLICIES,
     RANDOM,
     EpisodeConfig,
     EpisodeResult,
@@ -62,6 +63,64 @@ def test_sample_window_2x2_has_four_positions():
     seen = {(sample_window(WindowShape(2, 2), rng).top, sample_window(WindowShape(2, 2), rng).left)
             for _ in range(200)}
     assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+# --- the stdlib draws the episode loop writes out ------------------------------
+# run_episode seeds through Random's C base class and draws as Random.choice does, without its Python frames;
+# these pin the CPython behaviour that relies on, so a change to it fails here and not as a golden digest.
+
+ALL_SHAPES = tuple(WindowShape(h, w) for h in (1, 2, 3) for w in (1, 2, 3))
+
+
+class _Seq:
+    """A stand-in window shape whose placements are ``range(n)``, for sample_window's draw at any n."""
+
+    def __init__(self, n):
+        self.placements = tuple(range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_written_out_draw_is_random_choice(n):
+    seq = _Seq(n)
+    for s in range(1000):
+        rng, ref = random.Random(s), random.Random(s)
+        assert [sample_window(seq, rng) for _ in range(3)] == [ref.choice(seq.placements) for _ in range(3)]
+
+
+def test_randrange_9_draws_as_a_choice_from_the_nine_actions():
+    assert env._ACTIONS == tuple(range(9))
+    for s in range(1000):
+        rng, ref = random.Random(s), random.Random(s)
+        assert [rng.randrange(9) for _ in range(5)] == [ref.choice(env._ACTIONS) for _ in range(5)]
+
+
+def test_a_generator_seeded_through_the_base_class_is_random_of_that_seed():
+    for s in (*range(1000), 2**32, 2**64 + 3):
+        rng = random.Random.__new__(random.Random)  # as run_episode builds it
+        env._seed(rng, s)
+        ref = random.Random(s)
+        assert [rng.random() for _ in range(20)] == [ref.random() for _ in range(20)]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_sample_window_draws_as_random_choice_does(shape):
+    for s in range(1000):
+        assert sample_window(shape, random.Random(s)) == random.Random(s).choice(shape.placements)
+
+
+def test_an_episode_does_not_depend_on_what_ran_before_it(q_uniform, q_minimax):
+    def trail(result):
+        return [(st.t, st.observation.key, st.chosen_action, st.reward) for st in result.steps], result.outcome
+
+    configs = [EpisodeConfig(shape=shape, policy=policy, seed=77)
+               for shape in (WindowShape(1, 1), WindowShape(2, 2), WindowShape(3, 3))
+               for policy in (MIXTURE, MAXBELIEF, RANDOM)]
+    tables = (q_uniform, q_minimax)
+    first = [[trail(run_episode(c, fresh_copy(q))) for c in configs] for q in tables]
+    warm = [fresh_copy(q) for q in tables]
+    for i in range(200):  # other seeds, windows and policies, alternating between the two tables
+        run_episode(EpisodeConfig(shape=ALL_SHAPES[i % 9], policy=POLICIES[i % 3], seed=5000 + i), warm[i % 2])
+    assert [[trail(run_episode(c, q)) for c in configs] for q in warm] == first
 
 
 def test_make_observation_reads_the_true_board():
