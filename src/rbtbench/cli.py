@@ -96,7 +96,7 @@ def trace_pieces(observation: Observation, posterior: Node) -> tuple[str, str]:
     decision, pl, belief = posterior.decision, observation.placement, posterior.belief
     masses = ", ".join([f'"{s}": {_number(float(p))}' for s, p in sorted([(str(s), p) for s, p in belief.items()])])
     # a list of ints formats as JSON writes it, "[0, 4]"
-    return (f'{{"a_max": {sorted(decision.a_max)}, "a_mix": {sorted(decision.a_mix)}, "belief": {{{masses}}}, '
+    return (f'{{"a_max": {list(decision.a_max)}, "a_mix": {list(decision.a_mix)}, "belief": {{{masses}}}, '
             f'"belief_support_size": {len(belief)}, "chosen_action": ',
             f', "iou": {_number(decision.iou)}, "margin": {_number(decision.margin)}, "observation": {{"contents": '
             f'{list(observation.contents)}, "height": {pl.shape.height}, "left": {pl.left}, "top": {pl.top}, '
@@ -221,8 +221,8 @@ def render_step(step: StepRecord, values: Sequence[float], true_state: Optional[
     lines.extend(_columns(blocks))
     lines.append("  Q~ per action: " + " ".join(f"{a}:{v:+.4f}" for a, v in enumerate(values)))
     lines.append(
-        "  A_mix={" + ",".join(map(str, sorted(step.a_mix))) + "}"
-        + "  A_max={" + ",".join(map(str, sorted(step.a_max))) + "}"
+        "  A_mix={" + ",".join(map(str, step.a_mix)) + "}"
+        + "  A_max={" + ",".join(map(str, step.a_max)) + "}"
         + f"  iou={step.iou:.3f}  margin={step.margin:.4f}"
     )
     lines.append(f"  chosen action: {step.chosen_action} (row {step.chosen_action // 3}, col {step.chosen_action % 3})")
@@ -430,7 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -135,8 +135,6 @@ class Decision(NamedTuple):
     a_max: ActionSet
     iou: float
     margin: float
-    mix_choices: tuple[Action, ...]  # sorted(a_mix), the tie-break draws from it
-    max_choices: tuple[Action, ...]  # sorted(a_max)
 
 
 @dataclass(slots=True)
@@ -163,9 +161,9 @@ def _node(belief: Belief, q: QTable, posterior: bool) -> Node:
 
 
 @lru_cache(maxsize=None)
-def _shared(actions: ActionSet) -> tuple[ActionSet, tuple[Action, ...]]:
-    """One argmax set and its sorted members, shared by every decision that has it (at most 511)."""
-    return actions, tuple(sorted(actions))
+def _shared(actions: ActionSet) -> ActionSet:
+    """One argmax set, shared by every decision that has it (at most 511)."""
+    return actions
 
 
 def decide(belief: Belief, q: QTable) -> Decision:
@@ -176,18 +174,17 @@ def decide(belief: Belief, q: QTable) -> Decision:
     defines the margin.  Pure: it keeps nothing of `belief` or its result.
     """
     mix_vals = mixture_values(belief, q)
-    a_mix, mix_choices = _shared(argmax_set(mix_vals))
+    a_mix = _shared(argmax_set(mix_vals))
     if [*belief.values()] == [1.0]:  # one board at mass 1.0: alt_values is this very sum
-        a_max, max_choices = a_mix, mix_choices
+        a_max = a_mix
     else:
-        a_max, max_choices = _shared(argmax_set(alt_values(belief, q)))
+        a_max = _shared(argmax_set(alt_values(belief, q)))
     margin = max(mix_vals) - mean_value(mix_vals, a_max)
-    return Decision(a_mix, a_max, iou(a_mix, a_max), margin, mix_choices, max_choices)
+    return Decision(a_mix, a_max, iou(a_mix, a_max), margin)
 
 
 _seed = Random.__bases__[0].seed  # the C seed under Random.seed, whose type dispatch an int seed does not need
 _ACTIONS = tuple(range(9))  # a choice from it draws the bits randrange(9) draws
-_WHOLE_BOARD = (1 << 18) - 1  # the mask of a placement that covers all nine cells
 # How X's action ends an episode, keyed on its reward in ``ends``; O's reply ends one only by winning.
 _ENDED_BY_X = {-1.0: Outcome.INVALID_MOVE, 1.0: Outcome.WIN, 0.0: Outcome.DRAW}
 
@@ -209,15 +206,15 @@ def run_episode(config: EpisodeConfig, q: QTable) -> EpisodeResult:
         if edge is None:
             obs = placement.observe(board)
             # a read of all nine cells names one board, the true one, which the prior holds: update gives p / p
-            belief = {board: 1.0} if placement.mask == _WHOLE_BOARD else update(node.belief, obs)
+            belief = {board: 1.0} if len(placement.cells) == 9 else update(node.belief, obs)
             edge = node.edges[obs.key] = (obs, _node(belief, q, True))
         obs, node = edge
         true_states.append(board)
 
         if config.policy == MIXTURE:
-            choices = node.decision.mix_choices
+            choices = node.decision.a_mix
         elif config.policy == MAXBELIEF:
-            choices = node.decision.max_choices
+            choices = node.decision.a_max
         else:
             choices = _ACTIONS
         n = len(choices)  # rng.choice(choices), written out as sample_window's draw is

@@ -14,11 +14,11 @@ each board's status (read through a 512-entry "has a line" table built from
 no recorded board has a line for both players.  Those records are the only
 source of board facts, and a board outside them is not a legal position.
 
-``transitions`` turns the records into the move rules, the one place that
-knows them: X marks a cell, then either the episode ends (invalid move, win
-or draw) or O replies and it may end in a loss, never a draw: O's reply leaves
-a cell empty.  The solver, the belief filter's prediction, the episode loop
-and the minimax values all read it.
+The same pass then turns the records into the move rules (``transitions``),
+the one place that knows them: X marks a cell, then either the episode ends
+(invalid move, win or draw) or O replies and it may end in a loss, never a
+draw: O's reply leaves a cell empty.  The solver, the belief filter's
+prediction, the episode loop and the minimax values all read them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import chain
 
 # Cell index of each action, row-major: action k marks cell (k // 3, k % 3).
 Action = int
@@ -59,13 +58,19 @@ def cell_mark(index: int, cell: int) -> int:
     return index // POW3[cell] % 3
 
 
+# An O reply's entry in ``transitions()``'s reply table when it wins, the only
+# way it ends the game; every other entry is a board index, so never negative.
+O_WINS = -1
+
+
 @lru_cache(maxsize=None)
-def _game() -> tuple[dict[int, tuple[GameStatus, int, tuple[int, ...]]], array]:
-    """The one pass: ``(reachable_boards(), board_marks())``, one layer (one more mark) at a time."""
+def _game() -> tuple[dict, array, tuple[dict, dict]]:
+    """The one pass: ``(reachable_boards(), board_marks(), transitions())``, one layer (one more mark) at a time."""
     in_progress, x_wins, o_wins, draw = GameStatus  # locals: a read off the Enum class costs ~0.2 µs
     boards, marks = {}, array("i", [-1]) * 3**9  # 4 bytes a board, no int objects
-    layer, mover = {0: 0}, 1  # layer: board -> its marks
+    layers, layer, mover = [], {0: 0}, 1  # layer: board -> its marks
     while layer:
+        layers.append(layer)
         successors: dict[int, int] = {}
         bit = 1 if mover == 1 else 1 << 9  # the mover's mark on cell 0
         for index, m in layer.items():
@@ -81,7 +86,30 @@ def _game() -> tuple[dict[int, tuple[GameStatus, int, tuple[int, ...]]], array]:
                 if successor not in successors:
                     successors[successor] = m | bit << cell
         layer, mover = successors, 3 - mover
-    return boards, marks
+    moves, replies, shared = {}, {}, {}
+    for layer in reversed(layers[::2]):  # X to move, most marks first: a state's successors come before it
+        for index in sorted(layer):
+            if boards[index][0] is not in_progress:
+                continue
+            ends = [-1.0] * 9
+            after_x = {}
+            for action in boards[index][2]:
+                board = index + POW3[action]  # X mark = digit 1
+                st, _, reply_cells = boards[board]
+                if st is not in_progress:
+                    ends[action] = 1.0 if st is x_wins else 0.0
+                    continue
+                after_x[action] = board
+                if board not in replies:
+                    succ = [O_WINS] * 9  # the occupied cells' slots are never read
+                    for reply in reply_cells:
+                        after_o = board + 2 * POW3[reply]  # O mark = digit 2
+                        st = boards[after_o][0]
+                        succ[reply] = after_o if st is in_progress else O_WINS
+                    replies[board] = tuple(succ)
+            ends = tuple(ends)
+            moves[index] = (shared.setdefault(ends, ends), after_x)
+    return boards, marks, (moves, replies)
 
 
 def reachable_boards() -> dict[int, tuple[GameStatus, int, tuple[int, ...]]]:
@@ -103,12 +131,6 @@ def enumerate_reachable_states():
     return reachable_boards().keys()
 
 
-# An O reply's entry in ``transitions()``'s reply table when it wins, the only
-# way it ends the game; every other entry is a board index, so never negative.
-O_WINS = -1
-
-
-@lru_cache(maxsize=None)
 def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], dict[int, tuple[int, ...]]]:
     """The move rules from every decision state, as ``(moves, replies)``; built once, only read.
 
@@ -121,30 +143,4 @@ def transitions() -> tuple[dict[int, tuple[tuple[float, ...], dict[int, int]]], 
     maps each such board to a nine-slot tuple holding, for each cell O may
     reply on, the after-O board or ``O_WINS``.
     """
-    boards = reachable_boards()
-    in_progress, x_wins, _, _ = GameStatus  # locals, as in the pass
-    by_empties = [[] for _ in range(10)]  # decision states by their number of empty cells
-    for i, (st, mover, cells) in boards.items():
-        if mover == 1 and st is in_progress:
-            by_empties[len(cells)].append(i)
-    moves, replies, shared = {}, {}, {}
-    for index in chain.from_iterable(map(sorted, by_empties)):
-        ends = [-1.0] * 9
-        after_x = {}
-        for action in boards[index][2]:
-            board = index + POW3[action]  # X mark = digit 1
-            st, _, reply_cells = boards[board]
-            if st is not in_progress:
-                ends[action] = 1.0 if st is x_wins else 0.0
-                continue
-            after_x[action] = board
-            if board not in replies:
-                succ = [O_WINS] * 9  # the occupied cells' slots are never read
-                for reply in reply_cells:
-                    after_o = board + 2 * POW3[reply]  # O mark = digit 2
-                    st = boards[after_o][0]
-                    succ[reply] = after_o if st is in_progress else O_WINS
-                replies[board] = tuple(succ)
-        ends = tuple(ends)
-        moves[index] = (shared.setdefault(ends, ends), after_x)
-    return moves, replies
+    return _game()[2]

@@ -40,7 +40,8 @@ class TimestepAggregate:
 
 def iou(a: ActionSet, b: ActionSet) -> float:
     """Jaccard index |a & b| / |a | b| of two non-empty action sets."""
-    return len(a & b) / len(a | b)
+    both = len(set(a).intersection(b))
+    return both / (len(a) + len(b) - both)
 
 
 def mean_ci95(returns: Sequence[float]) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from .solver import QTable
 ARGMAX_TOL = 1e-9
 
 ActionValues = list[float]
-ActionSet = frozenset[int]
+ActionSet = tuple[int, ...]
 
 
 def mixture_values(belief: Belief, q: QTable) -> ActionValues:
@@ -40,9 +40,9 @@ def mixture_values(belief: Belief, q: QTable) -> ActionValues:
 
 
 def argmax_set(values: Sequence[float]) -> ActionSet:
-    """All actions whose value is within `ARGMAX_TOL` of the maximum."""
+    """All actions whose value is within `ARGMAX_TOL` of the maximum, ascending."""
     cutoff = max(values) - ARGMAX_TOL
-    return frozenset(a for a, v in enumerate(values) if v >= cutoff)
+    return tuple([a for a, v in enumerate(values) if v >= cutoff])
 
 
 def max_belief_states(belief: Belief) -> frozenset[int]:

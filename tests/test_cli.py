@@ -94,9 +94,9 @@ def observation_from_json(o: dict) -> Observation:
     return Observation(placement=placement, seen=oracles.window_seen(placement.cells, o["contents"]))
 
 
-def posterior_node(belief: dict, a_mix: frozenset, a_max: frozenset, iou: float, margin: float) -> env.Node:
-    """A posterior node built by hand, as the belief graph holds one."""
-    decision = env.Decision(a_mix, a_max, iou, margin, tuple(sorted(a_mix)), tuple(sorted(a_max)))
+def posterior_node(belief: dict, a_mix: tuple, a_max: tuple, iou: float, margin: float) -> env.Node:
+    """A posterior node built by hand, as the belief graph holds one; the argmax sets ascending."""
+    decision = env.Decision(a_mix, a_max, iou, margin)
     return env.Node(belief, {}, decision)
 
 
@@ -105,8 +105,8 @@ def step_from_json(obj: dict) -> tuple[int, StepRecord]:
     step = StepRecord(
         t=obj["t"],
         observation=observation_from_json(obj["observation"]),
-        posterior=posterior_node({int(s): p for s, p in obj["belief"].items()}, frozenset(obj["a_mix"]),
-                                 frozenset(obj["a_max"]), obj["iou"], obj["margin"]),
+        posterior=posterior_node({int(s): p for s, p in obj["belief"].items()}, tuple(obj["a_mix"]),
+                                 tuple(obj["a_max"]), obj["iou"], obj["margin"]),
         chosen_action=obj["chosen_action"],
         reward=obj["reward"],
     )
@@ -198,7 +198,7 @@ def test_trace_memo_keeps_the_steps_of_two_tables_apart(q_uniform, q_minimax):
 def one_cell_step(p: float = 1.0, margin: float = 0.0) -> StepRecord:
     placement = WindowPlacement(top=0, left=0, shape=WindowShape(height=1, width=1))
     return StepRecord(t=0, observation=Observation(placement=placement, seen=0),
-                      posterior=posterior_node({0: p}, frozenset({4}), frozenset({4}), 1.0, margin),
+                      posterior=posterior_node({0: p}, (4,), (4,), 1.0, margin),
                       chosen_action=4, reward=0.0)
 
 
@@ -214,7 +214,7 @@ def hand_built_step(p=1.0, iou=1.0, margin=0.0, reward=0.0) -> StepRecord:
     placement = WindowPlacement(top=1, left=0, shape=WindowShape(height=2, width=1))
     belief = {9: p, 10: 0.25, 1480: 0.5}  # "10" sorts before "1480" and "9"
     return StepRecord(t=1, observation=Observation(placement=placement, seen=1 << 3 | 1 << 15),
-                      posterior=posterior_node(belief, frozenset({8, 0, 4}), frozenset({4}), iou, margin),
+                      posterior=posterior_node(belief, (0, 4, 8), (4,), iou, margin),
                       chosen_action=4, reward=reward)
 
 
@@ -356,6 +356,17 @@ def test_bad_inputs_exit_nonzero(tmp_path, q_uniform_path, capsys):
     bad.write_text(json.dumps({"version": 999, "opponent": "uniform", "gamma": 1.0, "entries": {}}))
     assert run_cli("run", "--q", str(bad), "--window", "2x2", "--episodes", "5") == 1
     capsys.readouterr()
+
+
+def test_a_key_error_is_a_bug_and_propagates(q_uniform_path, monkeypatch, capsys):
+    # every check raises ValueError, so main reports only OSError and ValueError in one line
+    def broken(*args):
+        raise KeyError(123)
+
+    monkeypatch.setattr(cli, "run_episodes", broken)
+    with pytest.raises(KeyError):
+        run_cli("run", "--q", q_uniform_path, "--window", "2x2", "--episodes", "5")
+    assert capsys.readouterr().err == ""
 
 
 def one_line_error(capsys) -> str:

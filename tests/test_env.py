@@ -380,8 +380,20 @@ def test_every_step_holds_its_posterior_node_from_the_graph(q_uniform):
             for step in result.steps:
                 b = step.belief
                 assert step.posterior is q._graph[(True, *b, *b.values())]
-                assert (step.a_mix, step.a_max, step.iou, step.margin) == step.posterior.decision[:4]
+                assert (step.a_mix, step.a_max, step.iou, step.margin) == step.posterior.decision
                 assert step.belief_support_size == len(b)
+
+
+def test_equal_argmax_sets_are_one_object(q_uniform_cold):
+    # decide interns each argmax tuple, so the graph holds one object per distinct set
+    results = run_episodes(EpisodeConfig(shape=WindowShape(1, 1), seed=400), q_uniform_cold, 300)
+    ids: dict[tuple, set] = {}
+    for step in (step for result in results for step in result.steps):
+        for actions in (step.a_mix, step.a_max):
+            assert type(actions) is tuple and list(actions) == sorted(set(actions))
+            ids.setdefault(actions, set()).add(id(actions))
+    assert len(ids) > 10
+    assert {actions: len(group) for actions, group in ids.items() if len(group) > 1} == {}
 
 
 def test_decide_is_pure(q_uniform):
@@ -431,7 +443,7 @@ def test_decide_at_one_board_of_any_mass_matches_the_policy_functions(monkeypatc
         values = mixture_values(belief, q_uniform_cold)
         a_max = argmax_set(alt_values(belief, q_uniform_cold))
         assert decision.a_mix == argmax_set(values)
-        assert decision.a_max == a_max and decision.max_choices == tuple(sorted(a_max))
+        assert decision.a_max == a_max == tuple(sorted(a_max))
         assert decision.iou == iou(decision.a_mix, a_max)
         assert decision.margin == max(values) - mean_value(values, a_max)  # exact, not close
     assert calls == [{board: mass} for board, mass in product(boards, (0.5, 0.25, 1.5))]

@@ -48,7 +48,7 @@ def test_solve_q_makes_no_reply_distribution_call_and_builds_no_reply_table(monk
 
 def test_a_fresh_load_runs_the_one_game_pass_inside_the_traced_call(monkeypatch, q_uniform_path):
     # perfbench's game.enumerate_reachable_states span wraps solver's name: the pass must run inside it
-    for cached in (game._game, game.transitions, solver._entry_keys):
+    for cached in (game._game, solver._entry_keys):  # _game builds the move rules too
         cached.cache_clear()
     passes = []
 
@@ -60,6 +60,7 @@ def test_a_fresh_load_runs_the_one_game_pass_inside_the_traced_call(monkeypatch,
     monkeypatch.setattr(solver, "enumerate_reachable_states", traced)
     solver.load_qtable(q_uniform_path)
     assert passes == [(0, 1)]
+    assert game.transitions() is game._game()[2]  # the rules the load read, built by the traced pass
 
 
 def test_a_bad_header_fails_before_the_traced_call(monkeypatch, tmp_path):
